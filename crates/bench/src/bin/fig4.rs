@@ -8,7 +8,7 @@
 //! experiment over the TCP task queue; `--connect ADDR` runs as a remote
 //! worker.
 
-use automc_bench::harness::{automc_embeddings, run_search, Algo};
+use automc_bench::harness::{automc_embeddings, run_search_with, Algo, RunOpts};
 use automc_bench::report::{render_front, render_series};
 use automc_bench::scale::{exp1, exp2, prepare_task};
 use automc_bench::transport::DistRunner;
@@ -48,7 +48,9 @@ fn main() {
                 Algo::ALL
                     .iter()
                     .map(|&algo| {
-                        Some(run_search(algo, &task, &space, Some(&emb), seed, fresh, exp.name))
+                        let opts = RunOpts::default();
+                        let emb = Some(emb.as_slice());
+                        run_search_with(algo, &task, &space, emb, seed, fresh, exp.name, &opts)
                     })
                     .collect()
             }

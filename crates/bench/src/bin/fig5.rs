@@ -15,7 +15,7 @@
 //! `--connect ADDR` runs as a remote worker.
 
 use automc_bench::harness::{
-    automc_embeddings, fig5_variant, run_search, Algo, UnitCtx, FIG5_VARIANTS,
+    automc_embeddings, fig5_variant, run_search_with, Algo, RunOpts, UnitCtx, FIG5_VARIANTS,
 };
 use automc_bench::report::render_front;
 use automc_bench::scale::{exp1, exp2, ExperimentScale};
@@ -111,10 +111,11 @@ fn baselines(
         None => {
             let emb = automc_embeddings(space, "full", seed, false, true, true);
             let task = ctx.task_for(exp, exp.model, seed);
+            let (opts, emb) = (RunOpts::default(), Some(emb.as_slice()));
             let automc =
-                run_search(Algo::AutoMc, task, space, Some(&emb), seed, false, exp.name);
-            let rl = run_search(Algo::Rl, task, space, None, seed, false, exp.name);
-            (Some(automc), Some(rl))
+                run_search_with(Algo::AutoMc, task, space, emb, seed, false, exp.name, &opts);
+            let rl = run_search_with(Algo::Rl, task, space, None, seed, false, exp.name, &opts);
+            (automc, rl)
         }
     }
 }

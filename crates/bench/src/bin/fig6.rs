@@ -8,7 +8,9 @@
 //! through the distributed task queue; `--connect ADDR` runs as a remote
 //! worker.
 
-use automc_bench::harness::{automc_embeddings, best_scheme_in_band, run_search, Algo};
+use automc_bench::harness::{
+    automc_embeddings, best_scheme_in_band, run_search_with, Algo, RunOpts,
+};
 use automc_bench::scale::prepare_task;
 use automc_bench::scale::{exp1, exp2};
 use automc_bench::transport::DistRunner;
@@ -44,7 +46,8 @@ fn main() {
             None => {
                 let task = prepare_task(&exp, seed);
                 let emb = automc_embeddings(&space, "full", seed, false, true, true);
-                Some(run_search(Algo::AutoMc, &task, &space, Some(&emb), seed, false, exp.name))
+                let (opts, emb) = (RunOpts::default(), Some(emb.as_slice()));
+                run_search_with(Algo::AutoMc, &task, &space, emb, seed, false, exp.name, &opts)
             }
         };
         println!("### {} ({}) ###", exp.name, exp.model);

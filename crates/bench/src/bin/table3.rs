@@ -14,8 +14,8 @@
 //! scale and prints `SMOKE OK` on a structurally valid result.
 
 use automc_bench::harness::{
-    automc_embeddings, best_scheme_in_band, degraded_row, run_search, schemes_to_params,
-    table3_target_rows, table3_targets, Algo, FinalRow, UnitCtx,
+    automc_embeddings, best_scheme_in_band, degraded_row, run_search_with, schemes_to_params,
+    table3_target_rows, table3_targets, Algo, FinalRow, RunOpts, UnitCtx,
 };
 use automc_bench::scale::{exp1, exp2, prepare_task, smoke, ExperimentScale};
 use automc_bench::transport::DistRunner;
@@ -133,8 +133,10 @@ fn schemes_for(
             Algo::ALL
                 .iter()
                 .map(|&algo| {
+                    let (opts, emb, src) = (RunOpts::default(), Some(emb.as_slice()), &source_task);
                     let history =
-                        run_search(algo, &source_task, space, Some(&emb), seed, false, exp.name);
+                        run_search_with(algo, src, space, emb, seed, false, exp.name, &opts)
+                            .unwrap_or_default();
                     (algo.name().to_string(), best_scheme_in_band(&history, exp.gamma, 0.55))
                 })
                 .collect()

@@ -1,32 +1,28 @@
 //! JSON result cache shared by the reproduction binaries.
 //!
 //! Searches are the expensive part of the pipeline; Table 3 and Figures
-//! 4/6 reuse Table 2's searches through this cache. Files live under
-//! `target/automc-results/` and are plain JSON — inspectable and
-//! hand-deletable.
+//! 4/6 reuse Table 2's searches through this cache. Each entry is one
+//! `<key>.json` file under `target/automc-results/` — plain JSON,
+//! inspectable and hand-deletable.
 //!
-//! Every entry is wrapped in an envelope carrying a *fingerprint* of the
-//! run configuration (seed + scale-config summary). Keys alone proved
-//! unsafe: a cached Table 2 run from one `--seed`/scale combination was
-//! silently reused for another. A fingerprint mismatch — including any
-//! pre-envelope cache file — is treated as a miss and recomputed.
-//!
-//! Entries are written atomically (temp file + rename) and carry an
-//! FNV-1a 64 checksum of the payload, so a torn write, truncation, or
-//! bit-flip is detected on load and treated as a logged miss rather than
-//! parsed into garbage results; the corrupt file itself is *moved aside*
-//! into a `quarantine/` directory (the same discipline as the blob
-//! store's healing path, see `automc_compress::store`) so a bad entry can
-//! be post-mortemed while the next store heals the key. The
-//! `corrupt@cache:n` fault site (`automc_tensor::fault`) flips payload
-//! bytes just before the n-th store to exercise that rejection path
-//! deterministically.
+//! An entry is a journal record (`automc_core::journal::save_record`):
+//! payload `{fingerprint, value}` inside the checksummed, schema-versioned
+//! envelope every journal uses, so the cache inherits the one set of
+//! record checks. The *fingerprint* is of the run configuration (seed +
+//! scale-config summary + kernel numerics): keys alone proved unsafe — a
+//! cached Table 2 run from one `--seed`/scale combination was silently
+//! reused for another — so a fingerprint from another run is a logged
+//! miss. A torn write, truncation, or bit-flip fails the checksum and is
+//! a logged miss, the file moved aside into `quarantine/` so a bad entry
+//! can be post-mortemed while the next store heals the key. The
+//! `corrupt@cache:n` fault site (`automc_tensor::fault`) flips a byte of
+//! the n-th stored entry on disk to exercise that path deterministically.
 
-use automc_compress::store::{fnv1a64, quarantine_file, write_atomic_retry};
-use automc_json::{field, obj, FromJson, ToJson, Value};
+use automc_core::journal;
+use automc_json::{FromJson, ToJson};
 use automc_tensor::fault::{self, FaultKind};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Latched when a cache write keeps failing after retries: further stores
@@ -56,86 +52,23 @@ pub fn cache_path(key: &str) -> PathBuf {
     cache_dir().join(format!("{key}.json"))
 }
 
-fn read_envelope(key: &str) -> Option<(String, Value)> {
-    read_envelope_at(&cache_path(key), key)
-}
-
-/// Quarantine a corrupt cache entry (moved aside, not deleted) and log
-/// where it went; the next [`store`] of the key heals it.
-fn quarantine_entry(path: &std::path::Path, key: &str, why: &str) {
-    match quarantine_file(path) {
-        Some(dest) => eprintln!(
-            "[cache] {key}: {why}; quarantined to {} and recomputing",
-            dest.display()
-        ),
-        None => eprintln!("[cache] {key}: {why}; removed and recomputing"),
-    }
-}
-
-fn read_envelope_at(path: &std::path::Path, key: &str) -> Option<(String, Value)> {
-    let text = fs::read_to_string(path).ok()?;
-    let v = match automc_json::parse(&text) {
-        Ok(v) => v,
-        Err(_) => {
-            quarantine_entry(path, key, "unparsable entry");
-            return None;
-        }
-    };
-    // Checksummed format: {"checksum": "<fnv hex>", "payload": "<json>"}.
-    if let (Some(checksum), Some(payload)) = (
-        v.get("checksum")
-            .and_then(|c| c.as_str())
-            .and_then(|c| u64::from_str_radix(c, 16).ok()),
-        v.get("payload").and_then(|p| p.as_str()),
-    ) {
-        if fnv1a64(payload.as_bytes()) != checksum {
-            quarantine_entry(path, key, "checksum mismatch (corrupt entry)");
-            return None;
-        }
-        let Ok(inner) = automc_json::parse(payload) else {
-            quarantine_entry(path, key, "corrupt payload");
-            return None;
-        };
-        let fp: String = field(&inner, "fingerprint")?;
-        return Some((fp, inner.get("value")?.clone()));
-    }
-    // Pre-checksum envelope: accept it once (it will be rewritten with a
-    // checksum on the next store).
-    let fp: String = field(&v, "fingerprint")?;
-    let value = v.get("value")?.clone();
-    Some((fp, value))
-}
-
-/// Load a cached value if present, parseable, and recorded under the same
+/// Load a cached value if present, intact, and recorded under the same
 /// fingerprint; anything else is a miss.
 pub fn load<T: FromJson>(key: &str, fingerprint: &str) -> Option<T> {
-    let (fp, value) = read_envelope(key)?;
-    if fp != fingerprint {
-        eprintln!("[cache] {key}: fingerprint mismatch ({fp} != {fingerprint}), recomputing");
-        return None;
-    }
-    T::from_json(&value)
+    load_from(&cache_dir(), key, fingerprint)
 }
 
 /// [`load`] from an explicit store directory instead of [`cache_dir`].
 /// The multi-process orchestrator reads worker results this way: each
 /// worker persists into its own isolated sub-store, and the supervisor
 /// merges them without re-pointing its `AUTOMC_RESULTS_DIR`.
-pub fn load_from<T: FromJson>(
-    dir: &std::path::Path,
-    key: &str,
-    fingerprint: &str,
-) -> Option<T> {
-    let (fp, value) = read_envelope_at(&dir.join(format!("{key}.json")), key)?;
-    if fp != fingerprint {
-        eprintln!("[cache] {key}: fingerprint mismatch ({fp} != {fingerprint}), recomputing");
-        return None;
-    }
-    T::from_json(&value)
+pub fn load_from<T: FromJson>(dir: &Path, key: &str, fingerprint: &str) -> Option<T> {
+    let record = journal::load_record(&dir.join(format!("{key}.json")), fingerprint)?;
+    T::from_json(record.get("value")?)
 }
 
 /// Store a value under a fingerprint. The write is atomic, retried with
-/// backoff, and the payload checksummed, so readers never see a torn or
+/// backoff, and checksummed, so readers never see a torn or
 /// partially-written entry; a write that still fails after the retries
 /// disables result caching for the rest of the process (retry-then-disable
 /// — the computed value is returned to the caller either way).
@@ -143,42 +76,22 @@ pub fn store<T: ToJson>(key: &str, fingerprint: &str, value: &T) {
     if STORE_DISABLED.load(Ordering::Relaxed) {
         return;
     }
-    let dir = cache_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!(
-            "warning: cannot create cache dir {dir:?} ({e}); result caching \
-             disabled for this run"
-        );
-        STORE_DISABLED.store(true, Ordering::Relaxed);
-        return;
-    }
-    let payload = obj(vec![
-        ("fingerprint", fingerprint.to_json()),
-        ("value", value.to_json()),
-    ])
-    .to_string_pretty();
-    // Checksum the intended payload first; an injected corruption fault
-    // then damages the stored bytes *after* checksumming, exactly as a
-    // disk fault or torn write would, so the loader must catch it.
-    let checksum = format!("{:016x}", fnv1a64(payload.as_bytes()));
-    let mut payload_bytes = payload.into_bytes();
-    if fault::tick("cache") == Some(FaultKind::Corrupt) {
-        let mid = payload_bytes.len() / 2;
-        payload_bytes[mid] = payload_bytes[mid].wrapping_add(1);
-    }
-    let envelope = obj(vec![
-        ("checksum", Value::Str(checksum)),
-        (
-            "payload",
-            Value::Str(String::from_utf8_lossy(&payload_bytes).into_owned()),
-        ),
-    ]);
-    if let Err(e) = write_atomic_retry(&cache_path(key), envelope.to_string_pretty().as_bytes()) {
+    let path = cache_path(key);
+    let corrupt = fault::tick("cache") == Some(FaultKind::Corrupt);
+    if let Err(e) = journal::save_record(&path, fingerprint, vec![("value", value.to_json())]) {
         eprintln!(
             "warning: cache entry {key} keeps failing ({e}); result caching \
              disabled for this run"
         );
         STORE_DISABLED.store(true, Ordering::Relaxed);
+    } else if corrupt {
+        // Damage the entry *after* its checksum was taken, exactly as a
+        // disk fault would, so the loader must catch it.
+        if let Ok(mut bytes) = fs::read(&path) {
+            let mid = bytes.len() / 2;
+            bytes[mid] = bytes[mid].wrapping_add(1);
+            let _ = fs::write(&path, bytes);
+        }
     }
 }
 

@@ -57,6 +57,13 @@ pub fn run_fingerprint(scale: &ExperimentScale, seed: u64) -> String {
     )
 }
 
+/// The cache fingerprint of a seed-keyed global artifact (the experience
+/// corpus, the embeddings): salted with the kernel numerics version like
+/// [`run_fingerprint`], since both are float results of the kernels.
+fn global_fingerprint(seed: u64, artifact: &str, numerics: u64) -> String {
+    format!("k{numerics}|s{seed}|{artifact}")
+}
+
 /// One row of Table 2 / Table 3.
 #[derive(Debug, Clone)]
 pub struct FinalRow {
@@ -333,82 +340,6 @@ pub fn degraded_row(name: &str, why: &str) -> FinalRow {
     }
 }
 
-/// Crash-safe checkpoint of an in-progress method-grid run: which
-/// configurations have been scored, the best so far, the RNG stream, and
-/// the fault-injection counters. Written (checksummed + atomic) after
-/// every grid configuration so a killed `table2` run resumes the grid
-/// bitwise-identically instead of re-running completed configurations.
-struct GridCkpt {
-    /// Identifies the exact run (`gridckpt-v1|<run fp>|<cache key>`); a
-    /// mismatch means the checkpoint belongs to a different run.
-    tag: String,
-    /// Grid configurations already scored.
-    done: usize,
-    /// Best `(sample accuracy, grid index)` among the scored configs.
-    best: Option<(f32, usize)>,
-    /// xoshiro256** RNG state after the last scored configuration.
-    rng: [u64; 4],
-    /// `automc_tensor::fault::counters` snapshot (see the search journal).
-    fault_counters: Vec<(String, u64)>,
-}
-
-impl GridCkpt {
-    fn to_json(&self) -> Value {
-        let rng_hex = self
-            .rng
-            .iter()
-            .map(|w| Value::Str(format!("{w:016x}")))
-            .collect::<Vec<_>>();
-        obj(vec![
-            ("tag", self.tag.to_json()),
-            ("done", self.done.to_json()),
-            ("best", self.best.to_json()),
-            ("rng", Value::Arr(rng_hex)),
-            ("fault_counters", self.fault_counters.to_json()),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Option<Self> {
-        let Value::Arr(rng_words) = v.get("rng")? else { return None };
-        if rng_words.len() != 4 {
-            return None;
-        }
-        let mut rng = [0u64; 4];
-        for (dst, w) in rng.iter_mut().zip(rng_words) {
-            *dst = u64::from_str_radix(w.as_str()?, 16).ok()?;
-        }
-        Some(GridCkpt {
-            tag: field(v, "tag")?,
-            done: field(v, "done")?,
-            best: field(v, "best")?,
-            rng,
-            fault_counters: field(v, "fault_counters")?,
-        })
-    }
-
-    fn load(path: &std::path::Path, tag: &str) -> Option<Self> {
-        let payload = journal::load_checksummed(path)?;
-        let ckpt = match automc_json::parse(&payload).ok().as_ref().and_then(Self::from_json) {
-            Some(c) => c,
-            None => {
-                eprintln!(
-                    "warning: grid checkpoint {} is corrupt; starting fresh",
-                    path.display()
-                );
-                return None;
-            }
-        };
-        if ckpt.tag != tag {
-            eprintln!(
-                "warning: grid checkpoint {} belongs to a different run; ignoring",
-                path.display()
-            );
-            return None;
-        }
-        Some(ckpt)
-    }
-}
-
 fn method_baseline_row_uncached(
     task: &PreparedTask,
     method: MethodId,
@@ -422,27 +353,22 @@ fn method_baseline_row_uncached(
     // methods whose labels happened to share a length.
     let mut rng = rng_for_task(seed, ((ratio * 100.0) as u64) << 8 | method as u64);
     let grid = method_grid(method, ratio);
+    // The grid checkpoints as a search journal after every configuration:
+    // `round` counts the scored configurations and `state` holds the best
+    // `(sample accuracy, grid index)` so far. Select by quick evaluation
+    // on the sample; failed configurations are skipped rather than
+    // aborting the whole table.
     let journal_path = cache::cache_dir().join(format!("{key}.journal"));
-    let tag = format!("gridckpt-v1|{fp}|{key}");
-    // Select by quick evaluation on the sample; failed configurations are
-    // skipped rather than aborting the whole table.
+    let mut journal_to = Some(journal_path.as_path());
+    let jfp = journal::fnv1a64(format!("gridckpt-v1|{fp}|{key}").as_bytes());
     let mut best: Option<(f32, usize)> = None;
     let mut start = 0usize;
-    // Retry-then-disable, as for the search journals: a checkpoint write
-    // that keeps failing turns off checkpointing for this grid run.
-    let mut journal_to = Some(journal_path.as_path());
-    // The intent-record fingerprint for this grid run (the grid checkpoint
-    // itself is keyed by the string tag; intent records use a u64).
-    let intent_fp = journal::fnv1a64(tag.as_bytes());
     if resume_enabled() {
-        if let Some(mut ckpt) = GridCkpt::load(&journal_path, &tag) {
-            start = ckpt.done.min(grid.len());
-            best = ckpt.best;
-            rng = Rng::from_state(ckpt.rng);
-            // An `exit@eval` fault that fired mid-grid left a pre-eval
-            // intent record; merging it stops the fault from re-arming.
-            journal::merge_eval_intent(&journal_path, intent_fp, &mut ckpt.fault_counters);
-            fault::restore_counters(&ckpt.fault_counters);
+        if let Some(j) = journal::load(&journal_path, jfp) {
+            start = (j.round as usize).min(grid.len());
+            best = best_from_bytes(&j.state);
+            rng = Rng::from_state(j.rng);
+            fault::restore_counters(&j.fault_counters);
             eprintln!(
                 "[journal] resumed {}@{ratio} grid at configuration {start}/{}",
                 method.name(),
@@ -451,7 +377,7 @@ fn method_baseline_row_uncached(
         }
     }
     for (i, spec) in grid.iter().enumerate().skip(start) {
-        journal::record_eval_intent(journal_to, intent_fp);
+        journal::record_eval_intent(journal_to, jfp);
         let mut model = task.base_model.clone_net();
         if supervised_apply(spec, &mut model, &task.search_sample, &task.exec, &mut rng).is_some()
         {
@@ -460,24 +386,9 @@ fn method_baseline_row_uncached(
                 best = Some((acc, i));
             }
         }
-        if let Some(path) = journal_to {
-            let ckpt = GridCkpt {
-                tag: tag.clone(),
-                done: i + 1,
-                best,
-                rng: rng.state(),
-                fault_counters: fault::counters(),
-            };
-            if let Err(e) = journal::save_checksummed(path, &ckpt.to_json().to_string_pretty()) {
-                eprintln!(
-                    "warning: grid checkpoint {} keeps failing ({e}); \
-                     checkpointing disabled for this run",
-                    path.display()
-                );
-                journal::discard(path);
-                journal_to = None;
-            }
-        }
+        let history = SearchHistory::default();
+        let state = best_to_bytes(best);
+        journal::checkpoint_round(&mut journal_to, jfp, i as u64 + 1, 0, &rng, &history, state);
     }
     let row = (|| {
         let Some((_, best_idx)) = best else {
@@ -490,7 +401,7 @@ fn method_baseline_row_uncached(
         // Final run on the full training split. Not checkpointed: a kill
         // here resumes past the fully-recorded grid and redoes only this
         // run, with the RNG stream restored from the last checkpoint.
-        journal::record_eval_intent(journal_to, intent_fp);
+        journal::record_eval_intent(journal_to, jfp);
         let mut model = task.base_model.clone_net();
         if supervised_apply(&grid[best_idx], &mut model, &task.train_set, &task.exec, &mut rng)
             .is_none()
@@ -502,6 +413,21 @@ fn method_baseline_row_uncached(
     })();
     journal::discard(&journal_path);
     row
+}
+
+/// Encode a grid checkpoint's best-so-far `(sample accuracy, grid index)`
+/// as its journal `state` (empty before any configuration succeeded).
+pub(crate) fn best_to_bytes(best: Option<(f32, usize)>) -> Vec<u8> {
+    best.map_or(Vec::new(), |(acc, idx)| {
+        [acc.to_le_bytes().as_slice(), &(idx as u64).to_le_bytes()].concat()
+    })
+}
+
+/// Decode [`best_to_bytes`].
+pub(crate) fn best_from_bytes(b: &[u8]) -> Option<(f32, usize)> {
+    let acc = f32::from_le_bytes(b.get(..4)?.try_into().ok()?);
+    let idx = u64::from_le_bytes(b.get(4..12)?.try_into().ok()?);
+    Some((acc, idx as usize))
 }
 
 // ------------------------------------------------------------------------
@@ -539,26 +465,19 @@ pub fn load_or_shared<T: ToJson + FromJson>(
     fresh: bool,
     compute: impl FnOnce() -> T,
 ) -> T {
-    if !fresh {
-        if let Some(v) = cache::load(key, fingerprint) {
-            eprintln!("[cache] reusing {key}");
-            return v;
-        }
-        if let Ok(dir) = std::env::var("AUTOMC_SHARED_RESULTS_DIR") {
-            if !dir.is_empty() {
-                if let Some(v) =
-                    cache::load_from(std::path::Path::new(&dir), key, fingerprint)
-                {
-                    eprintln!("[cache] reusing {key} from shared store");
-                    cache::store(key, fingerprint, &v);
-                    return v;
-                }
+    cache::load_or(key, fingerprint, fresh, || {
+        let shared = std::env::var("AUTOMC_SHARED_RESULTS_DIR").ok().filter(|d| !d.is_empty());
+        let hit = shared.filter(|_| !fresh).and_then(|dir| {
+            cache::load_from(std::path::Path::new(&dir), key, fingerprint)
+        });
+        match hit {
+            Some(v) => {
+                eprintln!("[cache] reusing {key} from shared store");
+                v
             }
+            None => compute(),
         }
-    }
-    let v = compute();
-    cache::store(key, fingerprint, &v);
-    v
+    })
 }
 
 /// Generate (or load) the experience corpus for a strategy space.
@@ -570,7 +489,7 @@ pub fn experience_corpus(
 ) -> ExperienceCorpus {
     let key = format!("corpus_{space_tag}_s{seed}");
     // The corpus micro-tasks are hard-coded, so the seed alone pins them.
-    let fp = format!("s{seed}|corpus");
+    let fp = global_fingerprint(seed, "corpus", automc_tensor::KERNEL_NUMERICS_VERSION);
     let dto = load_or_shared(&key, &fp, fresh, || {
         eprintln!("[harness] generating experience corpus ({space_tag})…");
         let mut rng = rng_from_seed(seed ^ 0xE0);
@@ -626,7 +545,7 @@ pub fn automc_embeddings(
         "emb_{space_tag}_s{seed}_kg{}_exp{}",
         use_kg as u8, use_experience as u8
     );
-    let fp = format!("s{seed}|emb");
+    let fp = global_fingerprint(seed, "emb", automc_tensor::KERNEL_NUMERICS_VERSION);
     load_or_shared(&key, &fp, fresh, || {
         let corpus = experience_corpus(space, space_tag, seed, fresh);
         eprintln!("[harness] learning embeddings ({key})…");
@@ -689,24 +608,9 @@ pub struct RunOpts {
     pub journal_dir: Option<std::path::PathBuf>,
 }
 
-/// Run one AutoML algorithm on a prepared task (cached).
-#[allow(clippy::too_many_arguments)]
-pub fn run_search(
-    algo: Algo,
-    task: &PreparedTask,
-    space: &StrategySpace,
-    embeddings: Option<&[Vec<f32>]>,
-    seed: u64,
-    fresh: bool,
-    cache_tag: &str,
-) -> SearchHistory {
-    // The default hook never cancels, so the run always completes.
-    run_search_with(algo, task, space, embeddings, seed, fresh, cache_tag, &RunOpts::default())
-        .unwrap_or_default()
-}
-
-/// [`run_search`] with [`RunOpts`]: the hook observes every round and may
-/// cancel. Returns `None` when the run was cancelled — the partial
+/// Run one AutoML algorithm on a prepared task (cached). The
+/// [`RunOpts`] hook observes every round and may cancel; the default
+/// never does. Returns `None` when the run was cancelled — the partial
 /// history is *not* cached (a later run must not mistake it for a
 /// finished search) but the round journal stays on disk, so resubmitting
 /// the same run resumes at the cancelled round.
@@ -903,19 +807,7 @@ fn algo_band_rows(
             .iter()
             .map(|scheme| final_row(algo.name(), scheme, task, space, seed))
             .max_by(|a, b| a.acc.total_cmp(&b.acc));
-        out.push((
-            band,
-            best.unwrap_or(FinalRow {
-                algorithm: format!("{} (no scheme in band)", algo.name()),
-                params: 0,
-                pr: 0.0,
-                flops: 0,
-                fr: 0.0,
-                acc: 0.0,
-                inc: 0.0,
-                scheme: None,
-            }),
-        ));
+        out.push((band, best.unwrap_or_else(|| degraded_row(algo.name(), "no scheme in band"))));
     }
     out
 }
@@ -933,20 +825,9 @@ pub fn table2_task_count() -> usize {
 /// produces bitwise-identical rows on any thread, in any process, in any
 /// order — the property that makes both the in-process pool and the
 /// multi-process orchestrator merge back into one deterministic table.
-pub fn table2_task(
-    task: &PreparedTask,
-    space: &StrategySpace,
-    embeddings: &[Vec<f32>],
-    i: usize,
-    seed: u64,
-    fresh: bool,
-) -> Vec<(usize, FinalRow)> {
-    table2_task_with(task, space, embeddings, i, seed, fresh, &RunOpts::default())
-}
-
-/// [`table2_task`] with [`RunOpts`]: the hook is polled before the task
-/// starts and observes each search round. A cancelled task returns no
-/// rows — the caller must check the hook and discard the partial grid.
+/// The [`RunOpts`] hook is polled before the task starts and observes
+/// each search round. A cancelled task returns no rows — the caller must
+/// check the hook and discard the partial grid.
 #[allow(clippy::too_many_arguments)]
 pub fn table2_task_with(
     task: &PreparedTask,
@@ -1144,38 +1025,24 @@ pub fn table3_target_rows(
 ) -> Vec<FinalRow> {
     let key = format!("table3_{}_{}_s{seed}", scale.name, target).replace(['-', ' '], "_");
     let fp = run_fingerprint(scale, seed);
-    if !fresh {
-        if let Some(rows) = cache::load::<Vec<FinalRow>>(&key, &fp) {
-            eprintln!("[cache] reusing {key}");
-            return rows;
+    cache::load_or(&key, &fp, fresh, || {
+        let task = ctx.task_for(scale, target, seed);
+        let mut rows = Vec::new();
+        for method in MethodId::ALL {
+            eprintln!("[table3] {} on {target}…", method.name());
+            rows.push(method_row_quick(task, method, 0.4, seed, fresh));
         }
-    }
-    let task = ctx.task_for(scale, target, seed);
-    let mut rows = Vec::new();
-    for method in MethodId::ALL {
-        eprintln!("[table3] {} on {target}…", method.name());
-        rows.push(method_row_quick(task, method, 0.4, seed, fresh));
-    }
-    for (name, scheme) in schemes {
-        match scheme {
-            Some(s) => {
-                eprintln!("[table3] transferring {name}'s scheme to {target}…");
-                rows.push(final_row(name, s, task, space, seed));
+        for (name, scheme) in schemes {
+            match scheme {
+                Some(s) => {
+                    eprintln!("[table3] transferring {name}'s scheme to {target}…");
+                    rows.push(final_row(name, s, task, space, seed));
+                }
+                None => rows.push(degraded_row(name, "no feasible scheme")),
             }
-            None => rows.push(FinalRow {
-                algorithm: format!("{name} (no feasible scheme)"),
-                params: 0,
-                pr: 0.0,
-                flops: 0,
-                fr: 0.0,
-                acc: 0.0,
-                inc: 0.0,
-                scheme: None,
-            }),
         }
-    }
-    cache::store(&key, &fp, &rows);
-    rows
+        rows
+    })
 }
 
 /// Encode table3's per-algorithm schemes as a task-frame `params` value.
@@ -1312,13 +1179,23 @@ pub fn run_unit(
                 (vec![(0usize, FinalRow::baseline(task))], 0usize, 0usize)
             } else if unit - 1 < n_method_tasks {
                 let task = ctx.task_for(scale, scale.model, seed);
-                (table2_task(task, &space, &[], unit - 1, seed, fresh), 0, 0)
+                let opts = RunOpts::default();
+                (table2_task_with(task, &space, &[], unit - 1, seed, fresh, &opts), 0, 0)
             } else {
                 let emb = automc_embeddings(&space, "full", seed, false, true, true);
                 let task = ctx.task_for(scale, scale.model, seed);
                 let algo = Algo::ALL[unit - 1 - n_method_tasks];
-                let history =
-                    run_search(algo, task, &space, Some(&emb), seed, fresh, scale.name);
+                let history = run_search_with(
+                    algo,
+                    task,
+                    &space,
+                    Some(&emb),
+                    seed,
+                    fresh,
+                    scale.name,
+                    &RunOpts::default(),
+                )
+                .unwrap_or_default();
                 let (evals, failed) = (history.records.len(), history.failed_count());
                 (algo_band_rows(algo, &history, task, &space, seed), evals, failed)
             };
@@ -1333,7 +1210,17 @@ pub fn run_unit(
             let emb = automc_embeddings(&space, "full", seed, false, true, true);
             let task = ctx.task_for(scale, scale.model, seed);
             let algo = Algo::ALL[unit];
-            let history = run_search(algo, task, &space, Some(&emb), seed, fresh, scale.name);
+            let history = run_search_with(
+                algo,
+                task,
+                &space,
+                Some(&emb),
+                seed,
+                fresh,
+                scale.name,
+                &RunOpts::default(),
+            )
+            .unwrap_or_default();
             Ok(obj(vec![("history", history.to_json())]))
         }
         "table3" => {
@@ -1421,6 +1308,21 @@ mod tests {
         h.records.push(rec(0.44, 0.7, vec![3]));
         let top = best_schemes_in_band(&h, 0.3, 0.55, 2);
         assert_eq!(top, vec![vec![2], vec![1]]);
+    }
+
+    #[test]
+    fn a_numerics_bump_misses_the_global_artifacts() {
+        let v = automc_tensor::KERNEL_NUMERICS_VERSION;
+        for artifact in ["corpus", "emb"] {
+            let key = format!("unit-test-numerics-{artifact}");
+            cache::store(&key, &global_fingerprint(5, artifact, v), &vec![1u32]);
+            let hit: Option<Vec<u32>> = cache::load(&key, &global_fingerprint(5, artifact, v));
+            assert_eq!(hit, Some(vec![1]));
+            let bumped: Option<Vec<u32>> =
+                cache::load(&key, &global_fingerprint(5, artifact, v + 1));
+            assert_eq!(bumped, None, "{artifact}: another numerics version must miss");
+            let _ = std::fs::remove_file(cache::cache_path(&key));
+        }
     }
 
     #[test]

@@ -269,3 +269,223 @@ pub fn parse_args() -> BenchArgs {
     parsed.apply();
     parsed
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::harness::{best_from_bytes, best_to_bytes};
+    use crate::orchestrator::OrchJournal;
+    use automc_compress::{EvalCost, Metrics};
+    use automc_core::journal::{self, NodeSnapshot, SearchJournal};
+    use automc_core::SearchHistory;
+    use automc_tensor::fault::{self, FaultPlan};
+    use automc_tensor::Rng;
+    use std::fs;
+    use std::path::{Path, PathBuf};
+
+    /// One persistent record kind: where its file lives, how a run writes
+    /// it, and whether a run reads back exactly what it wrote. Runs are
+    /// named by a small integer; 1 is "this run", 2 a foreign one.
+    struct Kind {
+        name: &'static str,
+        path: PathBuf,
+        write: Box<dyn Fn(u64)>,
+        read: Box<dyn Fn(u64) -> bool>,
+        /// The journal whose node-blob store backs the record, if any.
+        blobs_of: Option<PathBuf>,
+    }
+
+    fn quarantined(path: &Path) -> bool {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        fs::read_dir(path.parent().unwrap().join("quarantine"))
+            .map(|d| d.flatten().any(|e| e.file_name().to_string_lossy().starts_with(&name)))
+            .unwrap_or(false)
+    }
+
+    fn search_journal(fp: u64) -> SearchJournal {
+        let node = |model: Vec<u8>| NodeSnapshot {
+            scheme: vec![4, 2],
+            metrics: Metrics { acc: 0.75, params: 10, flops: 20 },
+            cost: EvalCost { trained_images: 3, eval_images: 4 },
+            explored: vec![1],
+            model,
+        };
+        SearchJournal {
+            fingerprint: fp,
+            round: 5,
+            spent: 99,
+            rng: [1, 2, 3, 4],
+            history: SearchHistory::new("AutoMC"),
+            state: vec![7, 7],
+            nodes: vec![node(vec![1, 2, 3]), node(vec![4, 5, 6, 7])],
+            fault_counters: vec![("eval".into(), 3)],
+        }
+    }
+
+    fn kinds(dir: &Path) -> Vec<Kind> {
+        let sj = dir.join("search.journal");
+        let grid = dir.join("grid.journal");
+        let orch = OrchJournal::path(dir, 7);
+        let intent_base = dir.join("intent.journal");
+        let cache_key = format!("unit-test-persist-{}", std::process::id());
+        let rng = Rng::from_state([9, 8, 7, 6]);
+        vec![
+            Kind {
+                name: "search journal with nodes",
+                path: sj.clone(),
+                write: Box::new({
+                    let sj = sj.clone();
+                    move |run| journal::save(&sj, &search_journal(run)).unwrap()
+                }),
+                read: Box::new({
+                    let sj = sj.clone();
+                    move |run| {
+                        journal::load(&sj, run).is_some_and(|j| {
+                            j.round == 5
+                                && j.nodes.len() == 2
+                                && j.nodes[1].model == vec![4, 5, 6, 7]
+                                && j.nodes[0].cost.eval_images == 4
+                        })
+                    }
+                }),
+                blobs_of: Some(sj),
+            },
+            Kind {
+                name: "grid checkpoint",
+                path: grid.clone(),
+                write: Box::new({
+                    let grid = grid.clone();
+                    move |run| {
+                        let mut to = Some(grid.as_path());
+                        let best = best_to_bytes(Some((0.5, 1)));
+                        let h = SearchHistory::default();
+                        journal::checkpoint_round(&mut to, run, 2, 0, &rng, &h, best);
+                        assert!(to.is_some(), "checkpoint write failed");
+                    }
+                }),
+                read: Box::new({
+                    let grid = grid.clone();
+                    move |run| {
+                        journal::load(&grid, run).is_some_and(|j| {
+                            j.round == 2
+                                && j.rng == [9, 8, 7, 6]
+                                && best_from_bytes(&j.state) == Some((0.5, 1))
+                        })
+                    }
+                }),
+                blobs_of: None,
+            },
+            Kind {
+                name: "supervisor journal with dist_ticks",
+                path: orch.clone(),
+                write: Box::new({
+                    let orch = orch.clone();
+                    move |run| {
+                        let tag = format!("dist-v1|s{run}|w2");
+                        OrchJournal { tag, retries: vec![0, 2], dist_ticks: 7 }.save(&orch)
+                    }
+                }),
+                read: Box::new(move |run| {
+                    OrchJournal::load(&orch, &format!("dist-v1|s{run}|w2"))
+                        .is_some_and(|j| j.dist_ticks == 7 && j.retries == vec![0, 2])
+                }),
+                blobs_of: None,
+            },
+            Kind {
+                name: "intent record",
+                path: journal::intent_path(&intent_base),
+                write: Box::new({
+                    let base = intent_base.clone();
+                    move |run| {
+                        // The journal the intent belongs to (eval=3).
+                        let mut j = search_journal(1);
+                        j.nodes.clear();
+                        journal::save(&base, &j).unwrap();
+                        fault::install(FaultPlan::parse("exit@eval:99").unwrap());
+                        fault::restore_counters(&[("eval".into(), 10)]);
+                        journal::record_eval_intent(Some(&base), run);
+                        fault::clear();
+                    }
+                }),
+                read: Box::new(move |run| {
+                    // The intent (eval=11) is merged only when it is intact
+                    // and of this run.
+                    journal::load(&intent_base, run)
+                        .is_some_and(|j| j.fault_counters == vec![("eval".to_string(), 11)])
+                }),
+                blobs_of: None,
+            },
+            Kind {
+                name: "cache entry",
+                path: crate::cache::cache_path(&cache_key),
+                write: Box::new({
+                    let key = cache_key.clone();
+                    move |run| crate::cache::store(&key, &format!("s{run}|test"), &vec![3u32, 1, 4])
+                }),
+                read: Box::new(move |run| {
+                    crate::cache::load::<Vec<u32>>(&cache_key, &format!("s{run}|test"))
+                        == Some(vec![3, 1, 4])
+                }),
+                blobs_of: None,
+            },
+        ]
+    }
+
+    /// Every record kind gets the same checks from the one record layer:
+    /// round-trip, bit-flip and truncation are quarantined misses, a
+    /// foreign run tag is a miss (for `dist_ticks`, the regression: the
+    /// bare tick counter once had no run identity), a foreign schema
+    /// starts fresh without quarantine, and a corrupt node blob is
+    /// quarantined while its journal falls back to fresh.
+    #[test]
+    fn every_record_kind_gets_the_same_persistence_checks() {
+        let dir = std::env::temp_dir().join(format!("automc-persist-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        for k in kinds(&dir) {
+            let name = k.name;
+            (k.write)(1);
+            assert!((k.read)(1), "{name}: round-trip");
+
+            let mut bytes = fs::read(&k.path).unwrap();
+            let at = bytes.len() * 2 / 3;
+            bytes[at] = bytes[at].wrapping_add(1);
+            fs::write(&k.path, &bytes).unwrap();
+            assert!(!(k.read)(1), "{name}: a bit-flip must miss");
+            assert!(!k.path.exists() && quarantined(&k.path), "{name}: bit-flip quarantined");
+
+            (k.write)(1);
+            let good = fs::read(&k.path).unwrap();
+            fs::write(&k.path, &good[..good.len() / 2]).unwrap();
+            assert!(!(k.read)(1), "{name}: truncation must miss");
+
+            (k.write)(2);
+            assert!(!(k.read)(1), "{name}: another run's record must miss");
+
+            (k.write)(1);
+            let text = fs::read_to_string(&k.path).unwrap();
+            let current = format!("\"schema\": {}", journal::SCHEMA_VERSION);
+            assert!(text.contains(&current), "{name}: envelope carries its schema");
+            fs::write(&k.path, text.replace(&current, "\"schema\": 99")).unwrap();
+            assert!(!(k.read)(1), "{name}: a foreign schema starts fresh");
+            assert!(k.path.exists(), "{name}: schema drift is not quarantined");
+
+            if let Some(j) = &k.blobs_of {
+                (k.write)(1);
+                let store = journal::blob_dir(j);
+                let blob = fs::read_dir(&store)
+                    .unwrap()
+                    .flatten()
+                    .map(|e| e.path())
+                    .find(|p| p.extension().is_some_and(|x| x == "bin"))
+                    .unwrap();
+                let mut bytes = fs::read(&blob).unwrap();
+                bytes[9] ^= 0x40;
+                fs::write(&blob, &bytes).unwrap();
+                assert!(!(k.read)(1), "{name}: a corrupt node blob must miss");
+                assert!(quarantined(&blob), "{name}: the corrupt blob is quarantined");
+            }
+            let _ = fs::remove_file(&k.path);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

@@ -29,7 +29,8 @@
 //! * **supervisor restart** — completed unit payloads are journaled in
 //!   the supervisor's store as they stream in, so a relaunched supervisor
 //!   replays the merge losslessly instead of re-running finished work,
-//!   and per-worker retry counters are journaled the same way.
+//!   and per-worker retry counters and the merge tick count are journaled
+//!   in one supervisor record ([`OrchJournal`]).
 
 use crate::cache;
 use crate::harness::{self, degraded_row, run_fingerprint, table2_task_count, FinalRow};
@@ -38,7 +39,7 @@ use crate::transport::DistRunner;
 use crate::BenchArgs;
 use automc_compress::{MethodId, StrategySpace};
 use automc_core::journal;
-use automc_json::{field, obj, FromJson, ToJson, Value};
+use automc_json::{field, FromJson, ToJson, Value};
 use std::path::{Path, PathBuf};
 
 /// Exit code of a worker whose injected `kill@worker` directive fired, so
@@ -87,16 +88,19 @@ pub fn resolve_scale(name: &str) -> Result<ExperimentScale, String> {
 }
 
 // ------------------------------------------------------------------------
-// Journaled retry counters
+// Journaled supervisor state
 // ------------------------------------------------------------------------
 
-/// Journaled supervisor state: per-worker retry counters, keyed by a tag
-/// covering the seed and worker count. Written (checksummed, atomic) on
-/// every failure event — exactly once per retry — so a restarted
-/// supervisor continues the budget instead of resetting it.
+/// Journaled supervisor state, one record at `orch_dist_s{seed}.journal`
+/// tagged with the seed and worker count: the per-worker retry counters
+/// (written on every failure event — exactly once per retry — so a
+/// restarted supervisor continues the budget instead of resetting it) and
+/// the cumulative merge-frontier tick count (see `transport`). Discarded
+/// at a clean shutdown.
 pub(crate) struct OrchJournal {
     pub(crate) tag: String,
     pub(crate) retries: Vec<u64>,
+    pub(crate) dist_ticks: u64,
 }
 
 impl OrchJournal {
@@ -104,40 +108,27 @@ impl OrchJournal {
         root.join(format!("orch_dist_s{seed}.journal"))
     }
 
-    fn to_json(&self) -> Value {
-        obj(vec![
-            ("tag", self.tag.to_json()),
-            ("retries", self.retries.to_json()),
-        ])
-    }
-
     pub(crate) fn save(&self, path: &Path) {
-        if let Err(e) = journal::save_checksummed(path, &self.to_json().to_string_pretty())
-        {
+        let fields = vec![
+            ("retries", self.retries.to_json()),
+            ("dist_ticks", self.dist_ticks.to_json()),
+        ];
+        if let Err(e) = journal::save_record(path, &self.tag, fields) {
             eprintln!(
-                "warning: orchestrator journal {} keeps failing ({e}); \
-                 retry counters will not survive a supervisor restart",
+                "warning: orchestrator journal {} keeps failing ({e}); supervisor \
+                 state will not survive a supervisor restart",
                 path.display()
             );
         }
     }
 
-    pub(crate) fn load(path: &Path, tag: &str, workers: usize) -> Option<Vec<u64>> {
-        let payload = journal::load_checksummed(path)?;
-        let v = automc_json::parse(&payload).ok()?;
-        let found: String = field(&v, "tag")?;
-        if found != tag {
-            eprintln!(
-                "warning: orchestrator journal {} belongs to a different run; ignoring",
-                path.display()
-            );
-            return None;
-        }
-        let retries: Vec<u64> = field(&v, "retries")?;
-        if retries.len() != workers {
-            return None;
-        }
-        Some(retries)
+    pub(crate) fn load(path: &Path, tag: &str) -> Option<OrchJournal> {
+        let v = journal::load_record(path, tag)?;
+        Some(OrchJournal {
+            tag: tag.to_string(),
+            retries: field(&v, "retries")?,
+            dist_ticks: field(&v, "dist_ticks")?,
+        })
     }
 }
 
@@ -244,7 +235,7 @@ pub fn table2_rows_dist(
     rows
 }
 
-/// Distributed counterpart of running [`harness::run_search`] for the
+/// Distributed counterpart of running [`harness::run_search_with`] for the
 /// algorithms in `algos` (indices into [`harness::Algo::ALL`]): already
 /// cached histories — in the supervisor's store or any worker sub-store —
 /// are reused, the rest are enqueued as `search` task units. Returned
@@ -335,32 +326,6 @@ mod tests {
         let err = resolve_scale("exp3").expect_err("unknown scale must fail");
         assert!(err.contains("unknown scale \"exp3\""), "{err}");
         assert!(err.contains("exp1, exp2, smoke"), "must list known scales: {err}");
-    }
-
-    #[test]
-    fn orchestrator_journal_roundtrips_and_checks_tag() {
-        let dir = std::env::temp_dir()
-            .join(format!("automc-orch-journal-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = OrchJournal::path(&dir, 7);
-        let j = OrchJournal { tag: "dist-v1|s7|w3".into(), retries: vec![0, 2, 1] };
-        j.save(&path);
-        assert_eq!(
-            OrchJournal::load(&path, "dist-v1|s7|w3", 3),
-            Some(vec![0, 2, 1])
-        );
-        assert_eq!(
-            OrchJournal::load(&path, "dist-v1|s9|w3", 3),
-            None,
-            "tag mismatch must be ignored"
-        );
-        assert_eq!(
-            OrchJournal::load(&path, "dist-v1|s7|w3", 4),
-            None,
-            "worker-count mismatch must be ignored"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

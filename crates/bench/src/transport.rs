@@ -942,14 +942,12 @@ pub struct DistRunner {
     args: BenchArgs,
     deadline: Duration,
     finished: bool,
-    /// Cumulative merge-frontier ticks across every round this supervisor
-    /// has run, mirroring the thread-local `dist` fault counter.
-    dist_ticks: u64,
-    /// Journal for `dist_ticks`, written *before* each tick so an injected
-    /// `exit@dist:k` cannot re-fire after a restart: the resumed supervisor
-    /// restores the counter past the ordinal that already fired. Only
-    /// touched when the active fault plan schedules the `dist` site.
-    dist_ticks_path: PathBuf,
+    /// Whether the active fault plan schedules the `dist` site. Only then
+    /// is `jstate.dist_ticks` — the cumulative merge-frontier ticks across
+    /// every round, mirroring the thread-local `dist` fault counter —
+    /// journaled *before* each tick, so an injected `exit@dist:k` cannot
+    /// re-fire after a restart: the resumed supervisor restores the
+    /// counter past the ordinal that already fired.
     dist_faults: bool,
 }
 
@@ -1021,31 +1019,29 @@ impl DistRunner {
         };
         let jpath = OrchJournal::path(&root, args.seed);
         let tag = format!("dist-v1|s{}|w{}", args.seed, args.workers);
-        let mut jstate = OrchJournal { tag, retries: vec![0; args.workers] };
-        if args.workers > 0 && harness::resume_enabled() {
-            if let Some(retries) = OrchJournal::load(&jpath, &jstate.tag, args.workers) {
-                eprintln!(
-                    "[dist] resumed retry counters {retries:?} from {}",
-                    jpath.display()
-                );
-                jstate.retries = retries;
-            }
-        }
+        let mut jstate = OrchJournal { tag, retries: vec![0; args.workers], dist_ticks: 0 };
         // The `dist` fault counter survives supervisor restarts the same
         // way eval counters survive via round journals: the pre-tick
         // ordinal is journaled, and a resumed supervisor restores it so
         // replayed merges do not re-fire an already-injected fault.
         let dist_faults = fault::plan_schedules_any(&["dist"]);
-        let dist_ticks_path = root.join(format!("dist-ticks-s{}.journal", args.seed));
-        let mut dist_ticks = 0u64;
-        if dist_faults && harness::resume_enabled() {
-            if let Some(n) = std::fs::read_to_string(&dist_ticks_path)
-                .ok()
-                .and_then(|s| s.trim().parse::<u64>().ok())
-            {
+        let resumed = harness::resume_enabled()
+            .then(|| OrchJournal::load(&jpath, &jstate.tag))
+            .flatten();
+        if let Some(resumed) = resumed {
+            if args.workers > 0 && resumed.retries.len() == args.workers {
+                eprintln!(
+                    "[dist] resumed retry counters {:?} from {}",
+                    resumed.retries,
+                    jpath.display()
+                );
+                jstate.retries = resumed.retries;
+            }
+            if dist_faults && resumed.dist_ticks > 0 {
+                let n = resumed.dist_ticks;
                 fault::restore_counters(&[("dist".to_string(), n)]);
-                dist_ticks = n;
-                eprintln!("[dist] resumed fault counter dist={n} from the tick journal");
+                jstate.dist_ticks = n;
+                eprintln!("[dist] resumed fault counter dist={n} from the supervisor journal");
             }
         }
         let budget = args.retries as u64;
@@ -1073,8 +1069,6 @@ impl DistRunner {
             args: args.clone(),
             deadline: Duration::from_millis((args.heartbeat_ms.saturating_mul(8)).max(1_500)),
             finished: false,
-            dist_ticks,
-            dist_ticks_path,
             dist_faults,
         })
     }
@@ -1306,16 +1300,13 @@ impl DistRunner {
                         && round.resolved.contains_key(&units[frontier])
                     {
                         frontier += 1;
-                        self.dist_ticks += 1;
+                        self.jstate.dist_ticks += 1;
                         if self.dist_faults {
                             // Journal the ordinal *before* ticking: if the
                             // tick injects an exit, the restarted supervisor
                             // restores the counter past it and the fault
                             // fires exactly once across resumes.
-                            let _ = automc_compress::store::write_atomic_retry(
-                                &self.dist_ticks_path,
-                                self.dist_ticks.to_string().as_bytes(),
-                            );
+                            self.jstate.save(&self.jpath);
                         }
                         fault::tick("dist");
                         eprintln!("[dist] merged {frontier}/{} unit(s)", units.len());
@@ -1431,12 +1422,11 @@ impl DistRunner {
                 conn.alive = false;
             }
         }
-        journal::discard(&self.jpath);
-        // Like the merge journal, the dist-tick journal is resumption
+        // Like the merge journal, the supervisor journal is resumption
         // state, not a cache: a clean shutdown means every scheduled
-        // `dist` fault ran its course, so the counter must not leak into
-        // an unrelated later run with the same seed.
-        let _ = std::fs::remove_file(&self.dist_ticks_path);
+        // `dist` fault ran its course, so neither the tick count nor the
+        // retry counters may leak into a later run with the same seed.
+        journal::discard(&self.jpath);
         let retries_total: u64 = self.slots.iter().map(|s| s.retries).sum();
         eprintln!("[dist] shutdown complete ({retries_total} worker restart(s))");
         let store = automc_compress::store::counters();

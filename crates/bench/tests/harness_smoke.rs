@@ -1,7 +1,8 @@
 //! End-to-end smoke test of the reproduction harness at miniature scale.
 
 use automc_bench::harness::{
-    automc_embeddings, best_scheme_in_band, final_row, method_baseline_row, run_search, Algo,
+    automc_embeddings, best_scheme_in_band, final_row, method_baseline_row, run_search_with, Algo,
+    RunOpts,
 };
 use automc_bench::scale::{exp1, prepare_task, ExperimentScale};
 use automc_compress::{MethodId, StrategySpace};
@@ -33,7 +34,10 @@ fn mini_table2_pipeline() {
     let space = StrategySpace::for_methods(&[MethodId::Ns, MethodId::Sfp]);
     let emb = automc_embeddings(&space, "smoke", seed, true, true, false);
     assert_eq!(emb.len(), space.len());
-    let history = run_search(Algo::AutoMc, &task, &space, Some(&emb), seed, true, "smoke");
+    let opts = RunOpts::default();
+    let history =
+        run_search_with(Algo::AutoMc, &task, &space, Some(&emb), seed, true, "smoke", &opts)
+            .expect("the default hook never cancels");
     assert!(!history.records.is_empty());
 
     // Band selection + final full-data evaluation.
@@ -44,6 +48,7 @@ fn mini_table2_pipeline() {
     }
 
     // Random baseline under the same context.
-    let rnd = run_search(Algo::Random, &task, &space, None, seed, true, "smoke");
+    let rnd = run_search_with(Algo::Random, &task, &space, None, seed, true, "smoke", &opts)
+        .expect("the default hook never cancels");
     assert!(!rnd.records.is_empty());
 }

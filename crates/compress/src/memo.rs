@@ -1032,8 +1032,9 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // Three 100-byte legacy blobs (canonical 16-hex stems, as the
-        // pre-store spill path always wrote) with increasing mtimes.
+        // Three 100-byte blobs (canonical 16-hex stems) with increasing
+        // mtimes, behind an index whose only record is corrupt, so the
+        // open rebuilds from a scan with mtime as recency.
         let t0 = std::time::SystemTime::now() - std::time::Duration::from_secs(300);
         let name = |k: u64| format!("{k:016x}.bin");
         for (i, key) in [0xaau64, 0xbb, 0xcc].iter().enumerate() {
@@ -1043,6 +1044,7 @@ mod tests {
             f.set_modified(t0 + std::time::Duration::from_secs(60 * i as u64))
                 .unwrap();
         }
+        std::fs::write(dir.join("index.log"), b"P garbage\n").unwrap();
         // Non-blob files are never GC candidates.
         std::fs::write(dir.join("stray.tmp"), b"x").unwrap();
 

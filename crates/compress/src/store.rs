@@ -28,10 +28,10 @@
 //! processes since the last read. A torn final record (a crash mid-append)
 //! is dropped silently; a corrupt interior record triggers a rebuild from
 //! a directory scan, where blob mtimes stand in for recency — the only
-//! remaining use of mtime, which also covers index-less legacy spill
-//! directories from earlier releases. Blobs whose metadata cannot be read
-//! during such a scan are *skipped and logged*, never treated as
-//! oldest-first eviction fodder.
+//! remaining use of mtime. Blobs whose metadata cannot be read during such
+//! a scan are *skipped and logged*, never treated as oldest-first eviction
+//! fodder. A blob on disk that the index does not know (a sibling's
+//! publish not yet tailed) is adopted lazily by [`BlobStore::get`].
 //!
 //! # Generational GC (grace window + advisory lock)
 //!
@@ -53,10 +53,20 @@
 //! the next writer republishes it. Deletion-free healing means a bad disk
 //! sector can be diagnosed after the fact instead of silently vanishing.
 //!
+//! # Private stores
+//!
+//! A search journal keeps its node models in a *private* store
+//! ([`BlobStore::open_private`]): same envelope, index and quarantine, but
+//! it ticks no fault site and counts in no process-wide counter, so its
+//! I/O never moves a fault ordinal, a memo statistic, or a serve round
+//! frame. Its owner is its only writer and knows its whole live set, so
+//! instead of the budget GC it calls [`BlobStore::retain`] after every
+//! successful journal save.
+//!
 //! # Fault sites
 //!
-//! Every failure path above is exercised deterministically through
-//! `AUTOMC_FAULTS` (`automc_tensor::fault`):
+//! Every failure path of the shared spill store is exercised
+//! deterministically through `AUTOMC_FAULTS` (`automc_tensor::fault`):
 //!
 //! * `torn@spill:n` — the n-th spill-store operation, if it is a publish,
 //!   writes a truncated envelope straight to the final path (simulating a
@@ -246,7 +256,7 @@ pub struct StoreCounters {
     pub healed: u64,
     /// Reads that lost the race against a sibling's eviction (clean miss).
     pub raced: u64,
-    /// Index rebuilds forced by a corrupt record or a legacy directory.
+    /// Index rebuilds forced by a corrupt record.
     pub index_rebuilds: u64,
 }
 
@@ -538,29 +548,64 @@ impl Inner {
 pub struct BlobStore {
     dir: PathBuf,
     inner: Mutex<Inner>,
+    /// A private store ticks no fault site and bumps no process-wide
+    /// counter (see the module docs).
+    private: bool,
 }
 
 impl BlobStore {
-    /// Open (creating if needed) the store at `dir`: acquire the advisory
-    /// lock, replay the index — rebuilding it from a directory scan if it
-    /// is corrupt or missing while blobs exist (a legacy mtime-LRU spill
-    /// dir) — and compact it if it has grown far past its live set.
+    /// Open (creating if needed) the shared store at `dir`: acquire the
+    /// advisory lock, replay the index — rebuilding it from a directory
+    /// scan if a record is corrupt — and compact it if it has grown far
+    /// past its live set.
     pub fn open(dir: &Path) -> io::Result<BlobStore> {
+        Self::open_as(dir, false)
+    }
+
+    /// [`BlobStore::open`] for a private store: one owner, no fault sites,
+    /// no process-wide counters.
+    pub fn open_private(dir: &Path) -> io::Result<BlobStore> {
+        Self::open_as(dir, true)
+    }
+
+    fn open_as(dir: &Path, private: bool) -> io::Result<BlobStore> {
         fs::create_dir_all(dir)?;
-        let store = BlobStore { dir: dir.to_path_buf(), inner: Mutex::new(Inner::default()) };
+        let store =
+            BlobStore { dir: dir.to_path_buf(), inner: Mutex::new(Inner::default()), private };
         {
             let _lock = acquire_lock(&store.dir);
             let mut inner = store.locked();
-            let clean = tail_log(&mut inner, &store.dir);
-            if !clean || (inner.entries.is_empty() && has_blobs(&store.dir)) {
-                let reason = if clean { "legacy index-less directory" } else { "corrupt index record" };
-                rebuild_from_scan(&mut inner, &store.dir, reason);
-                compact(&mut inner, &store.dir);
+            if !tail_log(&mut inner, &store.dir) {
+                store.rebuild(&mut inner);
             } else if inner.records_seen > inner.entries.len() * 8 + COMPACT_SLACK {
                 compact(&mut inner, &store.dir);
             }
         }
         Ok(store)
+    }
+
+    /// Count one event in a process-wide counter (shared stores only).
+    fn count(&self, counter: &AtomicU64, n: u64) {
+        if !self.private {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Tick a fault site (shared stores only).
+    fn tick(&self, site: &str) -> Option<FaultKind> {
+        if self.private {
+            None
+        } else {
+            fault::tick(site)
+        }
+    }
+
+    /// Rebuild the index from a directory scan after a corrupt record, and
+    /// compact it so the next open parses cleanly.
+    fn rebuild(&self, inner: &mut Inner) {
+        self.count(&REBUILDS, 1);
+        rebuild_from_scan(inner, &self.dir);
+        compact(inner, &self.dir);
     }
 
     /// The store's root directory.
@@ -591,7 +636,7 @@ impl BlobStore {
     /// their checksums are the truth.
     fn append_record(&self, rec: Record) {
         let mut line = rec.to_line().into_bytes();
-        if fault::tick("index") == Some(FaultKind::Corrupt) {
+        if self.tick("index") == Some(FaultKind::Corrupt) {
             eprintln!("[store] injecting index corruption into the next append");
             let mid = line.len() / 2;
             line[mid] = line[mid].wrapping_add(1);
@@ -611,13 +656,23 @@ impl BlobStore {
 
     /// Publish `payload` under `key`, write-once: if the blob already
     /// exists (locally known or published by a sibling) this is a no-op.
-    /// Returns `true` when this call actually published.
+    /// Returns `true` when this call actually published; a failed write is
+    /// logged and returns `false`.
     pub fn publish(&self, key: u64, payload: &[u8]) -> bool {
+        self.try_publish(key, payload).unwrap_or_else(|e| {
+            eprintln!("warning: store publish of {key:016x} failed ({e})");
+            false
+        })
+    }
+
+    /// [`BlobStore::publish`] that reports a failed write to the caller
+    /// (a journal save must fail rather than reference a missing blob).
+    pub fn try_publish(&self, key: u64, payload: &[u8]) -> io::Result<bool> {
         let path = self.blob_path(key);
         {
             let inner = self.locked();
             if inner.entries.contains_key(&key) && path.exists() {
-                return false;
+                return Ok(false);
             }
         }
         if path.exists() {
@@ -629,11 +684,11 @@ impl BlobStore {
             inner.apply(Record::Put { key, len, ts });
             drop(inner);
             self.append_record(Record::Touch { key, ts });
-            return false;
+            return Ok(false);
         }
         let sealed = seal(payload);
         let ts = now_ms();
-        if fault::tick("spill") == Some(FaultKind::Torn) {
+        if self.tick("spill") == Some(FaultKind::Torn) {
             // Simulate a torn write reaching the final path (a crashed
             // pre-protocol writer): truncate inside the checksum trailer.
             let torn = &sealed[..sealed.len().saturating_sub(9)];
@@ -642,18 +697,18 @@ impl BlobStore {
             let len = torn.len() as u64;
             self.locked().apply(Record::Put { key, len, ts });
             self.append_record(Record::Put { key, len, ts });
-            PUBLISHES.fetch_add(1, Ordering::Relaxed);
-            return true;
+            self.count(&PUBLISHES, 1);
+            return Ok(true);
         }
-        if let Err(e) = write_atomic(&path, &sealed) {
-            eprintln!("warning: store publish of {key:016x} failed ({e})");
-            return false;
-        }
+        // A private store's owner fails its own save on an error, so give
+        // transient ones the same retry as any journal write.
+        let write = if self.private { write_atomic_retry } else { write_atomic };
+        write(&path, &sealed)?;
         let len = sealed.len() as u64;
         self.locked().apply(Record::Put { key, len, ts });
         self.append_record(Record::Put { key, len, ts });
-        PUBLISHES.fetch_add(1, Ordering::Relaxed);
-        true
+        self.count(&PUBLISHES, 1);
+        Ok(true)
     }
 
     /// Read the blob under `key`, verifying its envelope. Misses are
@@ -664,10 +719,10 @@ impl BlobStore {
         let path = self.blob_path(key);
         let known = self.locked().entries.contains_key(&key);
         if !known && !path.exists() {
-            MISSES.fetch_add(1, Ordering::Relaxed);
+            self.count(&MISSES, 1);
             return None;
         }
-        if fault::tick("spill") == Some(FaultKind::Evict) {
+        if self.tick("spill") == Some(FaultKind::Evict) {
             eprintln!("[store] injecting evict race on {key:016x}");
             let _ = fs::remove_file(&path);
         }
@@ -677,18 +732,18 @@ impl BlobStore {
                 // a clean miss. Its `E` record reconciles our view at the
                 // next tail; drop the local entry now.
                 if known {
-                    RACED.fetch_add(1, Ordering::Relaxed);
+                    self.count(&RACED, 1);
                     let mut inner = self.locked();
                     if let Some(e) = inner.entries.remove(&key) {
                         inner.total -= e.len;
                     }
                 }
-                MISSES.fetch_add(1, Ordering::Relaxed);
+                self.count(&MISSES, 1);
                 None
             }
             Err(e) => {
                 eprintln!("warning: cannot read store blob {key:016x} ({e})");
-                MISSES.fetch_add(1, Ordering::Relaxed);
+                self.count(&MISSES, 1);
                 None
             }
             Ok(bytes) => match unseal(&bytes) {
@@ -711,12 +766,12 @@ impl BlobStore {
                     if ts.saturating_sub(prev) > throttle {
                         self.append_record(Record::Touch { key, ts });
                     }
-                    HITS.fetch_add(1, Ordering::Relaxed);
+                    self.count(&HITS, 1);
                     Some(payload)
                 }
                 None => {
                     self.quarantine(key);
-                    MISSES.fetch_add(1, Ordering::Relaxed);
+                    self.count(&MISSES, 1);
                     None
                 }
             },
@@ -736,7 +791,7 @@ impl BlobStore {
             ),
             None => eprintln!("[store] removed corrupt blob {key:016x} (healed miss)"),
         }
-        HEALED.fetch_add(1, Ordering::Relaxed);
+        self.count(&HEALED, 1);
         let ts = now_ms();
         let mut inner = self.locked();
         if let Some(e) = inner.entries.remove(&key) {
@@ -765,8 +820,8 @@ impl BlobStore {
     }
 
     /// Index rebuilds (directory scans) this store instance has performed
-    /// — 0 on a clean open, 1 after adopting a legacy directory or
-    /// recovering from a corrupt index record.
+    /// — 0 on a clean open, 1 after recovering from a corrupt index
+    /// record.
     pub fn rebuild_count(&self) -> u64 {
         self.locked().rebuilds
     }
@@ -780,8 +835,7 @@ impl BlobStore {
         let _lock = acquire_lock(&self.dir);
         let mut inner = self.locked();
         if !tail_log(&mut inner, &self.dir) {
-            rebuild_from_scan(&mut inner, &self.dir, "corrupt index record");
-            compact(&mut inner, &self.dir);
+            self.rebuild(&mut inner);
         }
         if inner.total <= budget {
             return 0;
@@ -822,8 +876,8 @@ impl BlobStore {
             self.append_record(Record::Evict { key: *key, ts: now });
         }
         if evicted_bytes > 0 {
-            EVICTIONS.fetch_add(evicted.len() as u64, Ordering::Relaxed);
-            EVICTED_BYTES.fetch_add(evicted_bytes, Ordering::Relaxed);
+            self.count(&EVICTIONS, evicted.len() as u64);
+            self.count(&EVICTED_BYTES, evicted_bytes);
             eprintln!(
                 "[store] GC: evicted {evicted_bytes} bytes ({} blobs), \
                  {total} bytes retained",
@@ -838,13 +892,27 @@ impl BlobStore {
         trim_quarantine(&self.dir);
         evicted_bytes
     }
-}
 
-fn has_blobs(dir: &Path) -> bool {
-    let Ok(entries) = fs::read_dir(dir) else { return false };
-    entries.flatten().any(|e| {
-        e.path().extension().and_then(|x| x.to_str()) == Some("bin")
-    })
+    /// Keep exactly the blobs in `live`: delete every other indexed blob
+    /// and append an `E` record for each. For a private store whose owner
+    /// knows its whole live set; unlike [`BlobStore::gc`] there is no
+    /// budget and no grace window, because nothing else reads the store.
+    pub fn retain(&self, live: &[u64]) {
+        let mut inner = self.locked();
+        let dead: Vec<u64> =
+            inner.entries.keys().filter(|k| !live.contains(k)).copied().collect();
+        for key in &dead {
+            let _ = fs::remove_file(self.blob_path(*key));
+            if let Some(e) = inner.entries.remove(key) {
+                inner.total -= e.len;
+            }
+        }
+        drop(inner);
+        let ts = now_ms();
+        for key in dead {
+            self.append_record(Record::Evict { key, ts });
+        }
+    }
 }
 
 /// Replay index records appended since this process's last read. Returns
@@ -901,13 +969,11 @@ fn tail_log(inner: &mut Inner, dir: &Path) -> bool {
     clean
 }
 
-/// Rebuild the in-memory index from a directory scan — the fallback for
-/// corrupt indexes and legacy (index-less, mtime-LRU) spill directories.
-/// Blob mtime stands in for recency. A blob whose metadata cannot be read
-/// is *skipped and logged*, never adopted with epoch recency (which would
-/// make transient stat failures evict-first fodder).
-fn rebuild_from_scan(inner: &mut Inner, dir: &Path, reason: &str) {
-    REBUILDS.fetch_add(1, Ordering::Relaxed);
+/// Rebuild the in-memory index from a directory scan — the fallback for a
+/// corrupt index. Blob mtime stands in for recency. A blob whose metadata
+/// cannot be read is *skipped and logged*, never adopted with epoch
+/// recency (which would make transient stat failures evict-first fodder).
+fn rebuild_from_scan(inner: &mut Inner, dir: &Path) {
     inner.rebuilds += 1;
     inner.entries.clear();
     inner.total = 0;
@@ -956,7 +1022,7 @@ fn rebuild_from_scan(inner: &mut Inner, dir: &Path, reason: &str) {
         scanned += 1;
     }
     eprintln!(
-        "[store] index rebuilt from scan ({reason}): {scanned} blobs, {} bytes",
+        "[store] index rebuilt from scan (corrupt index record): {scanned} blobs, {} bytes",
         inner.total
     );
 }
@@ -1142,9 +1208,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mtime_directory_is_adopted_with_mtime_recency() {
-        let dir = tmp("legacy");
-        // Raw pre-store blobs: hex names, no index, old mtimes.
+    fn scan_rebuild_uses_mtime_recency() {
+        let dir = tmp("scan-mtime");
+        // Blobs with old mtimes behind an index whose only record is
+        // corrupt: the open rebuilds from a scan, mtime standing in for
+        // recency.
         let t0 = SystemTime::now() - Duration::from_secs(300);
         for (i, name) in ["00000000000000aa.bin", "00000000000000bb.bin"].iter().enumerate() {
             let path = dir.join(name);
@@ -1153,17 +1221,54 @@ mod tests {
             f.set_modified(t0 + Duration::from_secs(60 * i as u64)).unwrap();
         }
         fs::write(dir.join("stray.tmp"), b"x").unwrap();
+        fs::write(dir.join("index.log"), b"P garbage\n").unwrap();
 
         let store = BlobStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 2, "legacy blobs adopted from scan");
-        assert_eq!(store.rebuild_count(), 1, "adoption is a scan rebuild");
-        assert!(dir.join("index.log").exists(), "rebuild writes an index");
+        assert_eq!(store.len(), 2, "blobs recovered from the scan");
+        assert_eq!(store.rebuild_count(), 1, "a corrupt record forces one rebuild");
         // Old mtimes are outside any sane grace window: LRU applies.
         let evicted = store.gc(60);
         assert_eq!(evicted, 50);
         assert!(!dir.join("00000000000000aa.bin").exists(), "oldest first");
         assert!(dir.join("00000000000000bb.bin").exists());
         assert!(dir.join("stray.tmp").exists(), "non-blobs untouched");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unindexed_blobs_are_adopted_lazily_not_by_scan() {
+        let dir = tmp("unindexed");
+        fs::write(dir.join(format!("{:016x}.bin", 0x42)), seal(b"orphan")).unwrap();
+        let store = BlobStore::open(&dir).unwrap();
+        assert!(store.is_empty(), "an index-less directory is not scanned");
+        assert_eq!(store.rebuild_count(), 0);
+        assert_eq!(store.get(0x42), Some(b"orphan".to_vec()), "get adopts it");
+        assert_eq!(store.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn private_store_retains_exactly_the_live_set_silently() {
+        use automc_tensor::fault::FaultPlan;
+        let dir = tmp("private");
+        let store = BlobStore::open_private(&dir).unwrap();
+        // A private store ticks no fault site: a plan aimed at the spill
+        // store's first publish and first index append stays armed.
+        fault::install(FaultPlan::parse("torn@spill:1,corrupt@index:1").unwrap());
+        for key in 1..=3u64 {
+            assert!(store.try_publish(key, &[key as u8; 10]).unwrap());
+        }
+        assert!(fault::counters().is_empty(), "no site ticked");
+        fault::clear();
+        store.retain(&[2]);
+        assert_eq!(store.len(), 1);
+        assert!(!dir.join(format!("{:016x}.bin", 1)).exists());
+        assert!(!dir.join(format!("{:016x}.bin", 3)).exists());
+        // The `E` records survive a reopen: the index replays to {2}.
+        let again = BlobStore::open_private(&dir).unwrap();
+        assert_eq!(again.len(), 1);
+        assert_eq!(again.rebuild_count(), 0);
+        assert_eq!(again.get(2), Some(vec![2u8; 10]));
         let _ = fs::remove_dir_all(&dir);
     }
 

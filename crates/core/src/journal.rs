@@ -1,36 +1,40 @@
-//! Crash-safe round journal shared by all four search strategies.
+//! Crash-safe round journal shared by all four search strategies and the
+//! bench method grid, and the one checksummed record format that every
+//! piece of resumable or cached state is written in.
 //!
 //! At the end of every search round the full resumable state — the
 //! evaluation history, the algorithm's opaque learner state (`F_mo` for
 //! AutoMC, the REINFORCE controller for RL, the population for the EA),
 //! every extension node's model reference, the budget spent, the RNG
-//! state, and the fault-injection counters — is written to one journal
-//! file. Writes are atomic (temp file + rename) so a crash mid-write
-//! leaves the previous round's journal intact, and the payload is
-//! checksummed (FNV-1a 64) so torn or corrupted files are detected and
-//! treated as "no journal" rather than trusted.
+//! state, and the fault-injection counters — is written to one journal.
 //!
-//! Node models are stored as *content-addressed blobs* in a sibling
-//! `<journal>.blobs/` directory, keyed by the FNV-1a 64 hash of their
-//! bytes: the journal only references hashes, a blob is written once when
-//! its node first appears, and unreferenced blobs are garbage-collected
-//! after each successful journal write — so the per-round write cost is
-//! O(new nodes), not O(frontier). Blob contents are re-hashed on load; a
-//! missing or corrupt blob invalidates the journal.
+//! Every journal, intent record, supervisor journal and result-cache
+//! entry is a *record* ([`save_record`]/[`load_record`]): a JSON payload
+//! tagged with the fingerprint of the run that wrote it, inside a
+//! `{schema, checksum, payload}` envelope ([`save_checksummed`]) written
+//! atomically with retry. The checks a record needs live here, once: an
+//! FNV-1a 64 checksum (a torn, truncated or bit-flipped file is a miss,
+//! moved aside into a `quarantine/` directory beside it); schema drift
+//! (another [`SCHEMA_VERSION`] starts fresh, unquarantined); run identity
+//! (another run's record is a logged miss); and retry-then-disable (a
+//! save that still fails after its retries is returned to the caller,
+//! which stops journaling or caching for the run, see
+//! [`checkpoint_round`]).
 //!
-//! A journal is keyed by a *run fingerprint* hashed from everything that
-//! shapes the run (problem instance, configuration, embeddings, seed); a
-//! journal whose fingerprint does not match the requesting run is ignored
-//! with a warning. Restoring a journal reproduces the interrupted run
-//! bitwise: resumed and uninterrupted searches emit identical histories.
+//! Node models live in a private [`BlobStore`] at `<journal>.blobs/`,
+//! keyed by the FNV-1a 64 hash of their bytes: the journal references
+//! hashes, a blob is published once when its node first appears, and each
+//! successful save leaves the store holding exactly the referenced set
+//! ([`BlobStore::retain`]) — so a round costs O(new nodes), not
+//! O(frontier). A missing or corrupt (quarantined) blob invalidates the
+//! journal. A journal without nodes — every baseline round and grid
+//! configuration — never opens a store.
 //!
-//! Persistent write failures follow a retry-then-disable policy: each
-//! write is retried with backoff ([`write_atomic_retry`]), and a save that
-//! still fails is reported to the caller, which disables journaling for
-//! the rest of the run rather than silently continuing to trust a stale
-//! checkpoint.
+//! Restoring a journal reproduces the interrupted run bitwise: resumed and
+//! uninterrupted searches emit identical histories.
 
 use crate::history::SearchHistory;
+use automc_compress::store::{quarantine_file, write_atomic_retry, BlobStore};
 use automc_compress::{EvalCost, Metrics, Scheme, StrategyId};
 use automc_json::{field, obj, ToJson, Value};
 use automc_tensor::{fault, Rng};
@@ -38,12 +42,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-// The durable-write primitives (FNV-1a checksum, atomic fsync'd writes,
-// bounded retry) now live in `automc_compress::store` — the crash-safe
-// blob store and this journal share one write discipline, and the store
-// sits lower in the crate graph. Re-exported here so every existing
-// `journal::fnv1a64` / `journal::write_atomic*` caller keeps working.
-pub use automc_compress::store::{fnv1a64, write_atomic, write_atomic_retry};
+// The FNV-1a checksum lives in `automc_compress::store` (the blob store
+// and this journal share one write discipline, and the store sits lower
+// in the crate graph); re-exported for `journal::fnv1a64` callers.
+pub use automc_compress::store::fnv1a64;
 
 /// Hash a run fingerprint from a version tag, the run-shaping words
 /// (problem instance + algorithm configuration), and the RNG's starting
@@ -82,18 +84,17 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
 }
 
 // ------------------------------------------------------------------------
-// Checksummed envelopes
+// Checksummed records
 // ------------------------------------------------------------------------
 
 /// Version of the checksummed-envelope schema. Bump it whenever the
-/// envelope or payload format changes incompatibly; readers treat a
-/// different version as "from another era, start fresh" rather than as
-/// corruption. Envelopes written before the field existed read as v1.
-pub const SCHEMA_VERSION: u64 = 2;
+/// envelope or any payload format changes incompatibly; readers treat a
+/// different version (an envelope without the field reads as v1) as
+/// "from another era, start fresh" rather than as corruption.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Wrap `payload` in a `{schema, checksum, payload}` envelope and write
-/// it atomically with retry. Shared by the search journal, pre-eval
-/// intent records, and the harness's grid checkpoints.
+/// it atomically with retry.
 pub fn save_checksummed(path: &Path, payload: &str) -> io::Result<()> {
     let envelope = obj(vec![
         ("schema", SCHEMA_VERSION.to_json()),
@@ -108,38 +109,39 @@ pub fn save_checksummed(path: &Path, payload: &str) -> io::Result<()> {
 
 /// Read a [`save_checksummed`] envelope back, validating the schema
 /// version and the checksum. `None` on a missing file (silent — the
-/// normal fresh-run case), on a schema from a different era (logged as
-/// such), or on corruption (logged).
+/// normal fresh-run case), on a schema from a different era (logged), or
+/// on corruption (logged, and the file quarantined so the next save heals
+/// it).
 pub fn load_checksummed(path: &Path) -> Option<String> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
         Err(e) => {
-            eprintln!("warning: cannot read journal {}: {e}", path.display());
+            eprintln!("warning: cannot read {} ({e})", path.display());
             return None;
         }
     };
-    let invalid = || {
-        eprintln!(
-            "warning: journal {} is corrupt; starting fresh",
-            path.display()
-        );
+    let corrupt = |why: &str| {
+        let moved = quarantine_file(path)
+            .map_or("removed".into(), |d| format!("quarantined to {}", d.display()));
+        eprintln!("warning: {} is corrupt ({why}); {moved}, starting fresh", path.display());
+        None
     };
-    let Ok(envelope) = automc_json::parse(&text) else {
-        invalid();
-        return None;
+    let Some(envelope) = std::str::from_utf8(&bytes)
+        .ok()
+        .and_then(|text| automc_json::parse(text).ok())
+    else {
+        return corrupt("unparsable");
     };
     // Schema drift is not corruption: say so and start fresh.
-    if let Some(schema) = envelope.get("schema").and_then(|s| s.as_f64()) {
-        let schema = schema as u64;
-        if schema != SCHEMA_VERSION {
-            eprintln!(
-                "warning: journal {} uses schema v{schema} \
-                 (this build writes v{SCHEMA_VERSION}); starting fresh",
-                path.display()
-            );
-            return None;
-        }
+    let schema = envelope.get("schema").and_then(|s| s.as_f64()).map_or(1, |s| s as u64);
+    if schema != SCHEMA_VERSION {
+        eprintln!(
+            "warning: {} uses schema v{schema} (this build writes \
+             v{SCHEMA_VERSION}); starting fresh",
+            path.display()
+        );
+        return None;
     }
     let (Some(checksum), Some(payload)) = (
         envelope
@@ -148,14 +150,41 @@ pub fn load_checksummed(path: &Path) -> Option<String> {
             .and_then(|c| u64::from_str_radix(c, 16).ok()),
         envelope.get("payload").and_then(|p| p.as_str()),
     ) else {
-        invalid();
-        return None;
+        return corrupt("malformed envelope");
     };
     if fnv1a64(payload.as_bytes()) != checksum {
-        invalid();
-        return None;
+        return corrupt("checksum mismatch");
     }
     Some(payload.to_string())
+}
+
+/// Write a record of the run `fingerprint`: `fields` plus the fingerprint
+/// as one checksummed payload.
+pub fn save_record(path: &Path, fingerprint: &str, fields: Vec<(&str, Value)>) -> io::Result<()> {
+    let mut payload = vec![("fingerprint", Value::Str(fingerprint.to_string()))];
+    payload.extend(fields);
+    save_checksummed(path, &obj(payload).to_string_pretty())
+}
+
+/// Read back a [`save_record`] payload of the run `fingerprint`. Misses
+/// are those of [`load_checksummed`] plus a record of a different run,
+/// which is logged and ignored.
+pub fn load_record(path: &Path, fingerprint: &str) -> Option<Value> {
+    let payload = automc_json::parse(&load_checksummed(path)?).ok()?;
+    let found = payload.get("fingerprint").and_then(|f| f.as_str()).unwrap_or("");
+    if found != fingerprint {
+        eprintln!(
+            "warning: {} belongs to a different run \
+             (fingerprint {found}, expected {fingerprint}); ignoring",
+            path.display()
+        );
+        return None;
+    }
+    Some(payload)
+}
+
+fn fp_hex(fingerprint: u64) -> String {
+    format!("{fingerprint:016x}")
 }
 
 // ------------------------------------------------------------------------
@@ -194,37 +223,18 @@ pub fn record_eval_intent(journal_to: Option<&Path>, fingerprint: u64) {
         None => counters.push(("eval".to_string(), 1)),
     }
     counters.sort();
-    let payload = obj(vec![
-        ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
-        ("fault_counters", counters.to_json()),
-    ])
-    .to_string_pretty();
     let ip = intent_path(path);
-    if let Err(e) = save_checksummed(&ip, &payload) {
+    let fields = vec![("fault_counters", counters.to_json())];
+    if let Err(e) = save_record(&ip, &fp_hex(fingerprint), fields) {
         eprintln!("warning: cannot write intent record {}: {e}", ip.display());
     }
 }
 
 /// Max-merge a matching intent record into restored fault counters.
-///
-/// Called automatically by [`load`]; checkpoint mechanisms that bypass
-/// [`load`] (the bench method-grid) call it directly after restoring
-/// their own counters.
-pub fn merge_eval_intent(path: &Path, fingerprint: u64, counters: &mut Vec<(String, u64)>) {
-    let ip = intent_path(path);
-    let Some(payload) = load_checksummed(&ip) else { return };
-    let Ok(v) = automc_json::parse(&payload) else { return };
-    let Some(fp) = v
-        .get("fingerprint")
-        .and_then(|f| f.as_str())
-        .and_then(|f| u64::from_str_radix(f, 16).ok())
+fn merge_eval_intent(path: &Path, fingerprint: u64, counters: &mut Vec<(String, u64)>) {
+    let Some(intent) = load_record(&intent_path(path), &fp_hex(fingerprint))
+        .and_then(|v| field::<Vec<(String, u64)>>(&v, "fault_counters"))
     else {
-        return;
-    };
-    if fp != fingerprint {
-        return;
-    }
-    let Some(intent) = field::<Vec<(String, u64)>>(&v, "fault_counters") else {
         return;
     };
     for (site, n) in intent {
@@ -244,12 +254,11 @@ pub fn merge_eval_intent(path: &Path, fingerprint: u64, counters: &mut Vec<(Stri
 // Worker heartbeats
 // ------------------------------------------------------------------------
 
-/// One worker heartbeat, written (checksummed + atomic — the same
-/// envelope discipline as the journal itself) by a sharded worker process
-/// at a fixed cadence and read by its supervisor. The supervisor tracks
-/// `seq` changes against a wall-clock deadline to distinguish a hung
-/// worker from a slow one; `eval` and `tasks_done` report *where* the
-/// worker is, for logs and diagnosis.
+/// One worker heartbeat, sent by a distributed worker at a fixed cadence
+/// and read by its supervisor. The supervisor tracks `seq` changes
+/// against a wall-clock deadline to distinguish a hung worker from a slow
+/// one; `eval` and `tasks_done` report *where* the worker is, for logs
+/// and diagnosis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Heartbeat {
     /// Worker shard index.
@@ -270,10 +279,8 @@ pub struct Heartbeat {
 }
 
 impl Heartbeat {
-    /// JSON form — public because heartbeats travel two ways: as
-    /// checksummed files for local shard workers ([`Heartbeat::save`])
-    /// and as `beat` frames over the distributed task connection, where
-    /// the transport layer embeds this value in its own envelope.
+    /// JSON form, carried inside `beat` frames over the distributed task
+    /// connection (the transport layer embeds it in its own envelope).
     pub fn to_json(&self) -> Value {
         obj(vec![
             ("worker", self.worker.to_json()),
@@ -296,86 +303,18 @@ impl Heartbeat {
             done: field(v, "done")?,
         })
     }
-
-    /// Write the heartbeat to `path` (checksummed envelope, atomic,
-    /// durable).
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        save_checksummed(path, &self.to_json().to_string_pretty())
-    }
-
-    /// Read a heartbeat back; `None` on a missing, torn, or corrupt file
-    /// (the supervisor treats all three as "no beat yet").
-    pub fn load(path: &Path) -> Option<Heartbeat> {
-        let payload = load_checksummed(path)?;
-        automc_json::parse(&payload).ok().as_ref().and_then(Self::from_json)
-    }
-}
-
-// ------------------------------------------------------------------------
-// Content-addressed model blobs
-// ------------------------------------------------------------------------
-
-/// The sibling directory holding a journal's content-addressed model
-/// blobs.
-pub fn blob_dir(journal: &Path) -> PathBuf {
-    let mut dir = journal.as_os_str().to_owned();
-    dir.push(".blobs");
-    PathBuf::from(dir)
-}
-
-fn blob_path(dir: &Path, hash: u64) -> PathBuf {
-    dir.join(format!("{hash:016x}.bin"))
-}
-
-/// Write `bytes` as a blob under `dir` unless its content hash is already
-/// present (content addressing makes re-writes pure overhead).
-fn store_blob(dir: &Path, hash: u64, bytes: &[u8]) -> io::Result<()> {
-    let path = blob_path(dir, hash);
-    if path.exists() {
-        return Ok(());
-    }
-    write_atomic_retry(&path, bytes)
-}
-
-/// Read a blob back and verify its content hash — a mismatch means disk
-/// corruption and invalidates the journal that referenced it.
-fn load_blob(dir: &Path, hash: u64) -> Option<Vec<u8>> {
-    let path = blob_path(dir, hash);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("warning: cannot read model blob {}: {e}", path.display());
-            return None;
-        }
-    };
-    if fnv1a64(&bytes) != hash {
-        eprintln!("warning: model blob {} fails its content hash", path.display());
-        return None;
-    }
-    Some(bytes)
-}
-
-/// Delete every blob in `dir` whose hash is not in `live` — called after
-/// a successful journal write, so the old journal (already replaced) can
-/// no longer reference the removed blobs. Errors are ignored: a stray
-/// blob only wastes space.
-fn collect_garbage(dir: &Path, live: &[u64]) {
-    let Ok(entries) = fs::read_dir(dir) else { return };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".bin")) else {
-            continue;
-        };
-        let Ok(hash) = u64::from_str_radix(stem, 16) else { continue };
-        if !live.contains(&hash) {
-            let _ = fs::remove_file(entry.path());
-        }
-    }
 }
 
 // ------------------------------------------------------------------------
 // The journal itself
 // ------------------------------------------------------------------------
+
+/// The sibling directory holding a journal's node-blob store.
+pub fn blob_dir(journal: &Path) -> PathBuf {
+    let mut dir = journal.as_os_str().to_owned();
+    dir.push(".blobs");
+    PathBuf::from(dir)
+}
 
 /// Crash-safety knobs shared by all four search strategies. The default
 /// is no journaling — identical to the pre-journal behaviour.
@@ -426,7 +365,7 @@ pub struct NodeSnapshot {
     pub metrics: Metrics,
     /// Cumulative evaluation cost of producing this node from the base
     /// model (used for marginal budget charging when the node is
-    /// extended). Journals written before the field default to zero.
+    /// extended).
     pub cost: EvalCost,
     /// Strategies already tried as one-step extensions (sorted).
     pub explored: Vec<StrategyId>,
@@ -446,21 +385,13 @@ impl NodeSnapshot {
             ("cost_trained", self.cost.trained_images.to_json()),
             ("cost_eval", self.cost.eval_images.to_json()),
             ("explored", self.explored.to_json()),
-            ("model_blob", Value::Str(format!("{hash:016x}"))),
+            ("model_blob", Value::Str(fp_hex(hash))),
         ])
     }
 
-    /// Decode a node, resolving its model either from the legacy inline
-    /// hex field or from the blob store.
-    fn from_json_with_blobs(v: &Value, blobs: &Path) -> Option<Self> {
-        let model = if let Some(hex) = v.get("model").and_then(|m| m.as_str()) {
-            // Legacy journal with the model inline.
-            from_hex(hex)?
-        } else {
-            let hash =
-                u64::from_str_radix(v.get("model_blob")?.as_str()?, 16).ok()?;
-            load_blob(blobs, hash)?
-        };
+    /// Decode a node, resolving its model from the blob store.
+    fn from_json(v: &Value, blobs: &BlobStore) -> Option<Self> {
+        let hash = u64::from_str_radix(v.get("model_blob")?.as_str()?, 16).ok()?;
         Some(NodeSnapshot {
             scheme: field(v, "scheme")?,
             metrics: Metrics {
@@ -469,18 +400,19 @@ impl NodeSnapshot {
                 flops: field(v, "flops")?,
             },
             cost: EvalCost {
-                trained_images: field(v, "cost_trained").unwrap_or(0),
-                eval_images: field(v, "cost_eval").unwrap_or(0),
+                trained_images: field(v, "cost_trained")?,
+                eval_images: field(v, "cost_eval")?,
             },
             explored: field(v, "explored")?,
-            model,
+            model: blobs.get(hash)?,
         })
     }
 }
 
 /// The complete resumable state of one search run after a finished round.
-/// Shared by all four searches: the baselines leave `nodes` empty and pack
-/// their learner into `state` (the progressive search packs `F_mo` there).
+/// Shared by all four searches and the bench method grid: the baselines
+/// leave `nodes` empty and pack their learner into `state` (the
+/// progressive search packs `F_mo` there).
 #[derive(Debug, Clone)]
 pub struct SearchJournal {
     /// Hash of everything that shapes the run; a mismatch means the
@@ -508,20 +440,15 @@ pub struct SearchJournal {
 }
 
 impl SearchJournal {
-    fn to_json_with_hashes(&self, hashes: &[u64]) -> Value {
-        let rng_hex = self
-            .rng
-            .iter()
-            .map(|w| Value::Str(format!("{w:016x}")))
-            .collect::<Vec<_>>();
+    fn fields(&self, hashes: &[u64]) -> Vec<(&'static str, Value)> {
+        let rng_hex = self.rng.iter().map(|&w| Value::Str(fp_hex(w))).collect();
         let nodes = self
             .nodes
             .iter()
             .zip(hashes)
             .map(|(n, &h)| n.to_json_ref(h))
-            .collect::<Vec<_>>();
-        obj(vec![
-            ("fingerprint", Value::Str(format!("{:016x}", self.fingerprint))),
+            .collect();
+        vec![
             ("round", self.round.to_json()),
             ("spent", self.spent.to_json()),
             ("rng", Value::Arr(rng_hex)),
@@ -529,12 +456,10 @@ impl SearchJournal {
             ("state", Value::Str(to_hex(&self.state))),
             ("nodes", Value::Arr(nodes)),
             ("fault_counters", self.fault_counters.to_json()),
-        ])
+        ]
     }
 
-    fn from_json_with_blobs(v: &Value, blobs: &Path) -> Option<Self> {
-        let fingerprint =
-            u64::from_str_radix(v.get("fingerprint")?.as_str()?, 16).ok()?;
+    fn from_json(v: &Value, fingerprint: u64, blob_dir: &Path) -> Option<Self> {
         let Value::Arr(rng_words) = v.get("rng")? else { return None };
         if rng_words.len() != 4 {
             return None;
@@ -543,16 +468,13 @@ impl SearchJournal {
         for (dst, w) in rng.iter_mut().zip(rng_words) {
             *dst = u64::from_str_radix(w.as_str()?, 16).ok()?;
         }
-        // `state` replaced the AutoMC-specific `fmo` field when journaling
-        // grew to the baselines; accept the old name.
-        let state_hex = v
-            .get("state")
-            .or_else(|| v.get("fmo"))?
-            .as_str()?;
         let Value::Arr(node_values) = v.get("nodes")? else { return None };
         let mut nodes = Vec::with_capacity(node_values.len());
-        for nv in node_values {
-            nodes.push(NodeSnapshot::from_json_with_blobs(nv, blobs)?);
+        if !node_values.is_empty() {
+            let blobs = BlobStore::open_private(blob_dir).ok()?;
+            for nv in node_values {
+                nodes.push(NodeSnapshot::from_json(nv, &blobs)?);
+            }
         }
         Some(SearchJournal {
             fingerprint,
@@ -560,76 +482,62 @@ impl SearchJournal {
             spent: field(v, "spent")?,
             rng,
             history: field(v, "history")?,
-            state: from_hex(state_hex)?,
+            state: from_hex(v.get("state")?.as_str()?)?,
             nodes,
-            fault_counters: field(v, "fault_counters").unwrap_or_default(),
+            fault_counters: field(v, "fault_counters")?,
         })
     }
 }
 
-/// Persist a journal atomically: node models go to the content-addressed
-/// blob store first (new blobs only), then the checksummed journal
-/// envelope is renamed into place, then blobs no longer referenced are
-/// garbage-collected. A crash at any point leaves either the previous
-/// journal (with all its blobs) or the new one intact.
+/// Persist a journal atomically: node models are published to the blob
+/// store first (new blobs only), then the journal record is renamed into
+/// place, then the store drops every blob the new journal no longer
+/// references. A crash at any point leaves either the previous journal
+/// (with all its blobs) or the new one intact.
 pub fn save(path: &Path, journal: &SearchJournal) -> io::Result<()> {
     let hashes: Vec<u64> = journal.nodes.iter().map(|n| fnv1a64(&n.model)).collect();
-    let blobs = blob_dir(path);
-    if !journal.nodes.is_empty() {
-        fs::create_dir_all(&blobs)?;
+    let dir = blob_dir(path);
+    // No nodes and no store left over from earlier rounds: no blob I/O.
+    let blobs = if journal.nodes.is_empty() && !dir.exists() {
+        None
+    } else {
+        Some(BlobStore::open_private(&dir)?)
+    };
+    if let Some(blobs) = &blobs {
         for (node, &hash) in journal.nodes.iter().zip(&hashes) {
-            store_blob(&blobs, hash, &node.model)?;
+            blobs.try_publish(hash, &node.model)?;
         }
     }
-    let payload = journal.to_json_with_hashes(&hashes).to_string_pretty();
-    save_checksummed(path, &payload)?;
-    collect_garbage(&blobs, &hashes);
+    save_record(path, &fp_hex(journal.fingerprint), journal.fields(&hashes))?;
+    if let Some(blobs) = blobs {
+        blobs.retain(&hashes);
+    }
     Ok(())
 }
 
-/// Load a journal, validating the envelope checksum, the run fingerprint,
-/// and every referenced blob's content hash. Any failure — missing file,
-/// unparsable JSON, checksum mismatch, wrong fingerprint, missing or
-/// corrupt blob — returns `None`; corruption and mismatches are reported
-/// on stderr (a missing file is silent: that is the normal fresh-run
-/// case).
+/// Load a journal, validating the record (checksum, schema, run
+/// fingerprint) and every referenced blob. Any failure returns `None`:
+/// a missing file silently (the normal fresh-run case), everything else
+/// logged.
 pub fn load(path: &Path, fingerprint: u64) -> Option<SearchJournal> {
-    let payload = load_checksummed(path)?;
-    let invalid = || {
+    let record = load_record(path, &fp_hex(fingerprint))?;
+    let Some(mut journal) = SearchJournal::from_json(&record, fingerprint, &blob_dir(path)) else {
         eprintln!(
-            "warning: journal {} is corrupt; starting fresh",
+            "warning: journal {} is incomplete; starting fresh",
             path.display()
         );
-    };
-    let mut journal = match automc_json::parse(&payload)
-        .ok()
-        .and_then(|v| SearchJournal::from_json_with_blobs(&v, &blob_dir(path)))
-    {
-        Some(j) => j,
-        None => {
-            invalid();
-            return None;
-        }
-    };
-    if journal.fingerprint != fingerprint {
-        eprintln!(
-            "warning: journal {} belongs to a different run \
-             (fingerprint {:016x}, expected {fingerprint:016x}); ignoring",
-            path.display(),
-            journal.fingerprint,
-        );
         return None;
-    }
+    };
     merge_eval_intent(path, fingerprint, &mut journal.fault_counters);
     Some(journal)
 }
 
-/// Journal one completed round of a baseline search (no extension nodes;
-/// the learner packed into `state`), applying the retry-then-disable
-/// policy: if the save still fails after [`write_atomic_retry`]'s
-/// attempts, the stale journal is discarded and `journal_to` is cleared so
-/// the run continues un-journaled — a later resume must never trust a
-/// checkpoint older than the run that wrote it.
+/// Journal one completed round of a run without extension nodes (a
+/// baseline search, or a method-grid configuration), applying the
+/// retry-then-disable policy: if the save still fails after
+/// [`write_atomic_retry`]'s attempts, the stale journal is discarded and
+/// `journal_to` is cleared so the run continues un-journaled — a later
+/// resume must never trust a checkpoint older than the run that wrote it.
 pub fn checkpoint_round(
     journal_to: &mut Option<&Path>,
     fingerprint: u64,
@@ -661,9 +569,10 @@ pub fn checkpoint_round(
     }
 }
 
-/// Remove a journal and its blob store once the run has completed. Errors
-/// (including the files already being gone) are ignored: a stale journal
-/// is merely re-validated and discarded on the next run.
+/// Remove a journal, its intent record and its blob store once the run
+/// has completed. Errors (including the files already being gone) are
+/// ignored: a stale journal is merely re-validated and discarded on the
+/// next run.
 pub fn discard(path: &Path) {
     let _ = fs::remove_file(path);
     let _ = fs::remove_file(intent_path(path));
@@ -676,11 +585,30 @@ mod tests {
     use crate::history::EvalStatus;
     use std::path::PathBuf;
 
+    /// A journal path in a fresh per-test directory (quarantined files
+    /// land in its `quarantine/`).
     fn temp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "automc-journal-test-{}-{tag}.json",
-            std::process::id()
-        ))
+        let dir = std::env::temp_dir()
+            .join(format!("automc-journal-test-{}-{tag}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir.join("search.journal")
+    }
+
+    fn cleanup(path: &Path) {
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// The `.bin` blobs in a journal's store, sorted.
+    fn blobs(path: &Path) -> Vec<PathBuf> {
+        let mut out: Vec<PathBuf> = fs::read_dir(blob_dir(path))
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "bin"))
+            .collect();
+        out.sort();
+        out
     }
 
     fn sample_journal() -> SearchJournal {
@@ -746,6 +674,7 @@ mod tests {
         discard(&path);
         assert!(load(&path, j.fingerprint).is_none(), "discard removes it");
         assert!(!blob_dir(&path).exists(), "discard removes the blob store");
+        cleanup(&path);
     }
 
     #[test]
@@ -771,7 +700,7 @@ mod tests {
         // Not JSON at all.
         fs::write(&path, b"hello").unwrap();
         assert!(load(&path, j.fingerprint).is_none());
-        discard(&path);
+        cleanup(&path);
     }
 
     #[test]
@@ -786,9 +715,7 @@ mod tests {
             model: vec![9, 8, 7], // same bytes as node 0 → same blob
         });
         save(&path, &j).unwrap();
-        let dir = blob_dir(&path);
-        let count = fs::read_dir(&dir).unwrap().count();
-        assert_eq!(count, 1, "identical models share one blob");
+        assert_eq!(blobs(&path).len(), 1, "identical models share one blob");
 
         // A new node adds exactly one blob; dropping a node GCs its blob.
         j.nodes.push(NodeSnapshot {
@@ -799,88 +726,49 @@ mod tests {
             model: vec![1, 1, 2, 3, 5, 8],
         });
         save(&path, &j).unwrap();
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2);
+        assert_eq!(blobs(&path).len(), 2);
         j.nodes.truncate(2); // drop the fibonacci model again
         save(&path, &j).unwrap();
-        assert_eq!(
-            fs::read_dir(&dir).unwrap().count(),
-            1,
-            "unreferenced blobs are collected"
-        );
+        assert_eq!(blobs(&path).len(), 1, "unreferenced blobs are collected");
         let back = load(&path, j.fingerprint).unwrap();
         assert_eq!(back.nodes.len(), 2);
         assert_eq!(back.nodes[1].model, vec![9, 8, 7]);
-        discard(&path);
+        // A journal that drops its last node empties the store.
+        j.nodes.clear();
+        save(&path, &j).unwrap();
+        assert!(blobs(&path).is_empty());
+        cleanup(&path);
     }
 
     #[test]
-    fn corrupt_or_missing_blob_invalidates_the_journal() {
-        let path = temp_path("blob-corrupt");
+    fn journals_without_nodes_never_open_a_store() {
+        let path = temp_path("no-nodes");
+        let mut j = sample_journal();
+        j.nodes.clear();
+        save(&path, &j).unwrap();
+        assert!(!blob_dir(&path).exists(), "no nodes, no blob store");
+        assert!(load(&path, j.fingerprint).is_some());
+        assert!(!blob_dir(&path).exists(), "loading opens none either");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn missing_blob_invalidates_the_journal() {
+        let path = temp_path("blob-missing");
         let j = sample_journal();
         save(&path, &j).unwrap();
-        let dir = blob_dir(&path);
-        let blob = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        // Corrupt the blob: content no longer matches its hash.
-        fs::write(&blob, b"junk").unwrap();
-        assert!(load(&path, j.fingerprint).is_none(), "corrupt blob rejected");
-        // Remove it entirely.
-        save(&path, &j).unwrap();
-        let blob = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        fs::remove_file(&blob).unwrap();
+        fs::remove_file(&blobs(&path)[0]).unwrap();
         assert!(load(&path, j.fingerprint).is_none(), "missing blob rejected");
-        discard(&path);
+        cleanup(&path);
     }
 
     #[test]
-    fn legacy_inline_model_journals_still_load() {
-        let path = temp_path("legacy");
-        let j = sample_journal();
-        // Hand-build the pre-blob format: model hex inline, `fmo` field.
-        let node = &j.nodes[0];
-        let node_json = obj(vec![
-            ("scheme", node.scheme.to_json()),
-            ("acc", node.metrics.acc.to_json()),
-            ("params", node.metrics.params.to_json()),
-            ("flops", node.metrics.flops.to_json()),
-            ("explored", node.explored.to_json()),
-            ("model", Value::Str(to_hex(&node.model))),
-        ]);
-        let payload = obj(vec![
-            ("fingerprint", Value::Str(format!("{:016x}", j.fingerprint))),
-            ("round", j.round.to_json()),
-            ("spent", j.spent.to_json()),
-            (
-                "rng",
-                Value::Arr(
-                    j.rng.iter().map(|w| Value::Str(format!("{w:016x}"))).collect(),
-                ),
-            ),
-            ("history", j.history.to_json()),
-            ("fmo", Value::Str(to_hex(&j.state))),
-            ("nodes", Value::Arr(vec![node_json])),
-        ])
-        .to_string_pretty();
-        save_checksummed(&path, &payload).unwrap();
-        let back = load(&path, j.fingerprint).expect("legacy journal loads");
-        assert_eq!(back.state, j.state);
-        assert_eq!(back.nodes[0].model, j.nodes[0].model);
-        assert_eq!(
-            back.nodes[0].cost,
-            EvalCost::default(),
-            "pre-cost journals default to zero"
-        );
-        assert!(back.fault_counters.is_empty(), "legacy journals have no counters");
-        discard(&path);
-    }
-
-    #[test]
-    fn foreign_schema_versions_start_fresh() {
+    fn envelopes_without_a_schema_start_fresh_unquarantined() {
         let path = temp_path("schema");
         let payload = "{}";
-        // Hand-build an envelope claiming a future schema; the checksum is
-        // valid, so rejection must come from the version check alone.
+        // An envelope from before the `schema` field (v1) with a valid
+        // checksum: another era, not corruption.
         let envelope = obj(vec![
-            ("schema", 99u64.to_json()),
             (
                 "checksum",
                 Value::Str(format!("{:016x}", fnv1a64(payload.as_bytes()))),
@@ -888,24 +776,12 @@ mod tests {
             ("payload", Value::Str(payload.to_string())),
         ]);
         fs::write(&path, envelope.to_string_pretty()).unwrap();
-        assert!(
-            load_checksummed(&path).is_none(),
-            "a foreign schema version must not be trusted"
-        );
+        assert!(load_checksummed(&path).is_none());
+        assert!(path.exists(), "schema drift is not quarantined");
         // The version this build writes round-trips.
         save_checksummed(&path, payload).unwrap();
         assert_eq!(load_checksummed(&path).as_deref(), Some(payload));
-        // Envelopes that predate the field (v1) still load.
-        let envelope = obj(vec![
-            (
-                "checksum",
-                Value::Str(format!("{:016x}", fnv1a64(payload.as_bytes()))),
-            ),
-            ("payload", Value::Str(payload.to_string())),
-        ]);
-        fs::write(&path, envelope.to_string_pretty()).unwrap();
-        assert_eq!(load_checksummed(&path).as_deref(), Some(payload));
-        let _ = fs::remove_file(&path);
+        cleanup(&path);
     }
 
     #[test]
@@ -954,33 +830,7 @@ mod tests {
         );
         discard(&path);
         assert!(!intent_path(&path).exists(), "discard removes the intent");
-    }
-
-    #[test]
-    fn heartbeat_roundtrips_and_rejects_corruption() {
-        let path = temp_path("heartbeat");
-        let hb = Heartbeat {
-            worker: 3,
-            pid: 4242,
-            seq: 17,
-            eval: 905,
-            tasks_done: 5,
-            done: false,
-        };
-        hb.save(&path).unwrap();
-        assert_eq!(Heartbeat::load(&path), Some(hb.clone()));
-        // A final beat overwrites the previous one atomically.
-        let last = Heartbeat { seq: 18, done: true, ..hb };
-        last.save(&path).unwrap();
-        assert_eq!(Heartbeat::load(&path), Some(last));
-        // Corruption is "no beat", never garbage.
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] = bytes[mid].wrapping_add(1);
-        fs::write(&path, &bytes).unwrap();
-        assert!(Heartbeat::load(&path).is_none());
-        let _ = fs::remove_file(&path);
-        assert!(Heartbeat::load(&path).is_none(), "missing file is no beat");
+        cleanup(&path);
     }
 
     #[test]
@@ -991,6 +841,6 @@ mod tests {
         fs::write(&parent, b"file").unwrap();
         let path = parent.join("journal.json");
         assert!(save(&path, &sample_journal()).is_err());
-        let _ = fs::remove_file(&parent);
+        cleanup(&parent);
     }
 }
