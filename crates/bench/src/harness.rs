@@ -15,7 +15,7 @@ use automc_core::{
 use automc_data::ImageSet;
 use automc_knowledge::{
     generate_experience, learn_embeddings, EmbeddingConfig, ExperienceCorpus, ExperienceRecord,
-    MicroTask,
+    MicroTask, CORPUS_VERSION,
 };
 use automc_json::{field, obj, FromJson, ToJson, Value};
 use automc_models::surgery::Criterion;
@@ -47,21 +47,22 @@ pub fn resume_enabled() -> bool {
 
 /// The cache fingerprint of a prepared-task run: every cached artifact
 /// derived from a `PreparedTask` records this and is a miss under any
-/// other seed, scale configuration, or kernel numerics version (cached
-/// rows are float results of the tensor kernels).
+/// other seed, scale configuration, kernel numerics version (cached rows
+/// are float results of the tensor kernels) or corpus version (AutoMC
+/// histories, and the tables built on them, follow the embeddings).
 pub fn run_fingerprint(scale: &ExperimentScale, seed: u64) -> String {
     format!(
-        "k{}|s{seed}|{}",
+        "k{}|c{CORPUS_VERSION}|s{seed}|{}",
         automc_tensor::KERNEL_NUMERICS_VERSION,
         scale.fingerprint()
     )
 }
 
 /// The cache fingerprint of a seed-keyed global artifact (the experience
-/// corpus, the embeddings): salted with the kernel numerics version like
-/// [`run_fingerprint`], since both are float results of the kernels.
-fn global_fingerprint(seed: u64, artifact: &str, numerics: u64) -> String {
-    format!("k{numerics}|s{seed}|{artifact}")
+/// corpus, the embeddings): salted with the kernel numerics and corpus
+/// versions like [`run_fingerprint`].
+fn global_fingerprint(seed: u64, artifact: &str, numerics: u64, corpus: u64) -> String {
+    format!("k{numerics}|c{corpus}|s{seed}|{artifact}")
 }
 
 /// One row of Table 2 / Table 3.
@@ -480,6 +481,30 @@ pub fn load_or_shared<T: ToJson + FromJson>(
     })
 }
 
+/// Generate the experience corpus for a strategy space, uncached: 36
+/// records on each of two pre-trained micro tasks, built concurrently;
+/// micro task `t` draws its initial weights and pre-training from
+/// `rng_for_task(seed ^ 0xE0, t)` alone.
+pub fn generate_corpus(space: &StrategySpace, seed: u64) -> ExperienceCorpus {
+    let specs = [(ModelKind::ResNet(20), 4, 901), (ModelKind::Vgg(13), 8, 902)];
+    let tasks = par::par_map(specs.len(), |t| {
+        let (model, width, data_seed) = specs[t];
+        let mut rng = rng_for_task(seed ^ 0xE0, t as u64);
+        MicroTask::new(
+            automc_data::SyntheticKind::Cifar10Like,
+            model,
+            width,
+            240,
+            120,
+            4.0,
+            data_seed,
+            &mut rng,
+        )
+    });
+    let exec = ExecConfig { pretrain_epochs: 4.0, ..Default::default() };
+    generate_experience(space, &tasks, 36, &exec, seed ^ 0xE2)
+}
+
 /// Generate (or load) the experience corpus for a strategy space.
 pub fn experience_corpus(
     space: &StrategySpace,
@@ -489,34 +514,22 @@ pub fn experience_corpus(
 ) -> ExperienceCorpus {
     let key = format!("corpus_{space_tag}_s{seed}");
     // The corpus micro-tasks are hard-coded, so the seed alone pins them.
-    let fp = global_fingerprint(seed, "corpus", automc_tensor::KERNEL_NUMERICS_VERSION);
+    let fp = global_fingerprint(
+        seed,
+        "corpus",
+        automc_tensor::KERNEL_NUMERICS_VERSION,
+        CORPUS_VERSION,
+    );
     let dto = load_or_shared(&key, &fp, fresh, || {
         eprintln!("[harness] generating experience corpus ({space_tag})…");
-        let mut rng = rng_from_seed(seed ^ 0xE0);
-        let mut tasks = vec![
-            MicroTask::new(
-                automc_data::SyntheticKind::Cifar10Like,
-                ModelKind::ResNet(20),
-                4,
-                240,
-                120,
-                4.0,
-                901,
-                &mut rng,
-            ),
-            MicroTask::new(
-                automc_data::SyntheticKind::Cifar10Like,
-                ModelKind::Vgg(13),
-                8,
-                240,
-                120,
-                4.0,
-                902,
-                &mut rng,
-            ),
-        ];
-        let exec = automc_compress::ExecConfig { pretrain_epochs: 4.0, ..Default::default() };
-        let corpus = generate_experience(space, &mut tasks, 36, &exec, &mut rng);
+        let started = std::time::Instant::now();
+        let corpus = generate_corpus(space, seed);
+        eprintln!(
+            "[harness] experience corpus: {} records, {} dropped by supervision, {:.1}s",
+            corpus.records.len(),
+            corpus.dropped,
+            started.elapsed().as_secs_f32()
+        );
         CorpusDto {
             records: corpus
                 .records
@@ -545,7 +558,8 @@ pub fn automc_embeddings(
         "emb_{space_tag}_s{seed}_kg{}_exp{}",
         use_kg as u8, use_experience as u8
     );
-    let fp = global_fingerprint(seed, "emb", automc_tensor::KERNEL_NUMERICS_VERSION);
+    let fp =
+        global_fingerprint(seed, "emb", automc_tensor::KERNEL_NUMERICS_VERSION, CORPUS_VERSION);
     load_or_shared(&key, &fp, fresh, || {
         let corpus = experience_corpus(space, space_tag, seed, fresh);
         eprintln!("[harness] learning embeddings ({key})…");
@@ -1312,17 +1326,40 @@ mod tests {
 
     #[test]
     fn a_numerics_bump_misses_the_global_artifacts() {
-        let v = automc_tensor::KERNEL_NUMERICS_VERSION;
+        let (v, c) = (automc_tensor::KERNEL_NUMERICS_VERSION, CORPUS_VERSION);
         for artifact in ["corpus", "emb"] {
             let key = format!("unit-test-numerics-{artifact}");
-            cache::store(&key, &global_fingerprint(5, artifact, v), &vec![1u32]);
-            let hit: Option<Vec<u32>> = cache::load(&key, &global_fingerprint(5, artifact, v));
+            cache::store(&key, &global_fingerprint(5, artifact, v, c), &vec![1u32]);
+            let hit: Option<Vec<u32>> =
+                cache::load(&key, &global_fingerprint(5, artifact, v, c));
             assert_eq!(hit, Some(vec![1]));
             let bumped: Option<Vec<u32>> =
-                cache::load(&key, &global_fingerprint(5, artifact, v + 1));
+                cache::load(&key, &global_fingerprint(5, artifact, v + 1, c));
             assert_eq!(bumped, None, "{artifact}: another numerics version must miss");
             let _ = std::fs::remove_file(cache::cache_path(&key));
         }
+    }
+
+    #[test]
+    fn entries_from_an_older_corpus_version_miss() {
+        let v = automc_tensor::KERNEL_NUMERICS_VERSION;
+        let old = CORPUS_VERSION - 1;
+        for artifact in ["corpus", "emb"] {
+            let key = format!("unit-test-corpus-version-{artifact}");
+            cache::store(&key, &global_fingerprint(5, artifact, v, old), &vec![1u32]);
+            let stale: Option<Vec<u32>> =
+                cache::load(&key, &global_fingerprint(5, artifact, v, CORPUS_VERSION));
+            assert_eq!(stale, None, "{artifact}: an older corpus version must miss");
+            let _ = std::fs::remove_file(cache::cache_path(&key));
+        }
+        // Histories, table rows and journals keyed by the run fingerprint
+        // written before the corpus version joined it.
+        let scale = crate::scale::smoke();
+        let key = "unit-test-corpus-version-run";
+        cache::store(key, &format!("k{v}|s5|{}", scale.fingerprint()), &vec![1u32]);
+        let stale: Option<Vec<u32>> = cache::load(key, &run_fingerprint(&scale, 5));
+        assert_eq!(stale, None, "a run fingerprint without the corpus version must miss");
+        let _ = std::fs::remove_file(cache::cache_path(key));
     }
 
     #[test]

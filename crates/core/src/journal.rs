@@ -37,7 +37,8 @@ use crate::history::SearchHistory;
 use automc_compress::store::{quarantine_file, write_atomic_retry, BlobStore};
 use automc_compress::{EvalCost, Metrics, Scheme, StrategyId};
 use automc_json::{field, obj, ToJson, Value};
-use automc_tensor::{fault, Rng};
+use automc_tensor::fault::{self, FaultKind};
+use automc_tensor::Rng;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -533,11 +534,8 @@ pub fn load(path: &Path, fingerprint: u64) -> Option<SearchJournal> {
 }
 
 /// Journal one completed round of a run without extension nodes (a
-/// baseline search, or a method-grid configuration), applying the
-/// retry-then-disable policy: if the save still fails after
-/// [`write_atomic_retry`]'s attempts, the stale journal is discarded and
-/// `journal_to` is cleared so the run continues un-journaled — a later
-/// resume must never trust a checkpoint older than the run that wrote it.
+/// baseline search, or a method-grid configuration) through
+/// [`checkpoint`].
 pub fn checkpoint_round(
     journal_to: &mut Option<&Path>,
     fingerprint: u64,
@@ -547,8 +545,7 @@ pub fn checkpoint_round(
     history: &SearchHistory,
     state: Vec<u8>,
 ) {
-    let Some(path) = *journal_to else { return };
-    let snap = SearchJournal {
+    checkpoint(journal_to, || SearchJournal {
         fingerprint,
         round,
         spent,
@@ -557,8 +554,23 @@ pub fn checkpoint_round(
         state,
         nodes: Vec::new(),
         fault_counters: fault::counters(),
-    };
-    if let Err(e) = save(path, &snap) {
+    });
+}
+
+/// Journal one completed round, applying the retry-then-disable policy:
+/// if the save still fails after [`write_atomic_retry`]'s attempts, the
+/// stale journal is discarded and `journal_to` is cleared so the run
+/// continues un-journaled — a later resume must never trust a checkpoint
+/// older than the run that wrote it.
+///
+/// Every written checkpoint ticks the `round` fault site *before* `snap`
+/// captures the fault counters, and an `exit@round:N` fires only after
+/// checkpoint N is on disk: the killed run always leaves a journal, and
+/// its resume restores a `round` count that already includes the kill.
+pub fn checkpoint(journal_to: &mut Option<&Path>, snap: impl FnOnce() -> SearchJournal) {
+    let Some(path) = *journal_to else { return };
+    let injected = fault::tick_deferring_exit("round");
+    if let Err(e) = save(path, &snap()) {
         eprintln!(
             "warning: journal {} keeps failing ({e}); journaling disabled \
              for the rest of this run",
@@ -566,6 +578,9 @@ pub fn checkpoint_round(
         );
         discard(path);
         *journal_to = None;
+    }
+    if injected == Some(FaultKind::Exit) {
+        fault::exit_injected();
     }
 }
 
@@ -781,6 +796,36 @@ mod tests {
         // The version this build writes round-trips.
         save_checksummed(&path, payload).unwrap();
         assert_eq!(load_checksummed(&path).as_deref(), Some(payload));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn written_round_checkpoints_tick_the_round_site_into_their_counters() {
+        use automc_tensor::fault::{self, FaultPlan};
+        let path = temp_path("round-site");
+        let rng = automc_tensor::rng_from_seed(1);
+        let history = SearchHistory::default();
+        let round_count = |j: &SearchJournal| {
+            j.fault_counters.iter().find(|(s, _)| s == "round").map(|(_, n)| *n)
+        };
+        // A plan far past the ticks below, so counting is live but
+        // nothing fires.
+        fault::install(FaultPlan::parse("exit@round:99").unwrap());
+        let mut to = Some(path.as_path());
+        checkpoint_round(&mut to, 7, 1, 0, &rng, &history, Vec::new());
+        checkpoint_round(&mut to, 7, 2, 0, &rng, &history, Vec::new());
+        // Without a journal nothing is written, so nothing ticks.
+        checkpoint_round(&mut None, 7, 3, 0, &rng, &history, Vec::new());
+        let live = fault::counters();
+        fault::clear();
+        let back = load(&path, 7).expect("journal loads");
+        assert_eq!(back.round, 2);
+        assert_eq!(
+            round_count(&back),
+            Some(2),
+            "checkpoint 2 journals its own tick, so a resume never re-fires it"
+        );
+        assert_eq!(live, vec![("round".to_string(), 2)]);
         cleanup(&path);
     }
 

@@ -398,18 +398,9 @@ pub fn progressive_search_journaled(
         round += 1;
 
         // ---- Journal the completed round (atomic write + retry). -------
-        if let Some(path) = journal_to {
-            let snap = snapshot_run(fingerprint, round, spent, rng, &history, &fmo, &nodes);
-            if let Err(e) = journal::save(path, &snap) {
-                eprintln!(
-                    "warning: journal {} keeps failing ({e}); journaling \
-                     disabled for the rest of this run",
-                    path.display()
-                );
-                journal::discard(path);
-                journal_to = None;
-            }
-        }
+        journal::checkpoint(&mut journal_to, || {
+            snapshot_run(fingerprint, round, spent, rng, &history, &fmo, &nodes)
+        });
         if opts.abort_after_rounds.is_some_and(|k| round >= k as u64) {
             // Simulated crash for the resume-determinism tests: the
             // journal stays on disk, the partial history is returned.

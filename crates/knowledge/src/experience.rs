@@ -6,13 +6,29 @@
 //! spread of strategies on a bank of small seeded tasks and records the
 //! real measured `(AR, PR)`. The corpus is exactly what `NN_exp` needs —
 //! numerical knowledge about how strategies behave across task types.
+//!
+//! Every record is an independent supervised one-step scheme evaluation
+//! (see [`generate_experience`]), so the records run concurrently on the
+//! `par` pool and share the memo, fault sites and supervision of every
+//! other evaluation.
 
-use automc_compress::{apply_strategy, ExecConfig, Metrics, StrategyId, StrategySpace};
+use automc_compress::{
+    execute_scheme_checked, EvalOutcome, ExecConfig, Metrics, StrategyId, StrategySpace,
+};
 use automc_data::{DataFeatures, DatasetSpec, ImageSet, SyntheticKind};
 use automc_models::train::{train, Auxiliary};
 use automc_models::{resnet, vgg, ConvNet, ModelFeatures, ModelKind};
-use automc_tensor::Rng;
+use automc_tensor::{par, rng_for_task, Rng};
 use rand::seq::SliceRandom;
+use rand::RngCore;
+
+/// Version of the corpus-generation procedure. The cached corpus, the
+/// embeddings learned from it and every result downstream of those
+/// embeddings fold it into their cache fingerprints, so a procedure
+/// change is a cache miss, never a stale hit. History: 1 = one RNG
+/// threaded serially through every pick and strategy application; 2 =
+/// every record an independent supervised evaluation.
+pub const CORPUS_VERSION: u64 = 2;
 
 /// One experience tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,13 +48,16 @@ pub struct ExperienceRecord {
 pub struct ExperienceCorpus {
     /// The tuples.
     pub records: Vec<ExperienceRecord>,
+    /// Records whose evaluation failed under supervision (panicked,
+    /// diverged or timed out) and were left out of `records`.
+    pub dropped: usize,
     task_feature_len: usize,
 }
 
 impl ExperienceCorpus {
     /// Empty corpus with a fixed task-feature width.
     pub fn empty(task_feature_len: usize) -> Self {
-        ExperienceCorpus { records: Vec::new(), task_feature_len }
+        ExperienceCorpus { records: Vec::new(), dropped: 0, task_feature_len }
     }
 
     /// Width of the task feature vectors.
@@ -122,12 +141,24 @@ pub fn task_features(train_set: &ImageSet, base: &Metrics) -> Vec<f32> {
 
 /// Generate an experience corpus by executing `per_task` strategies
 /// (stratified across methods) on each micro task.
+///
+/// Every record is a pure function of `(seed, micro task, k)`. Micro task
+/// `t` draws its evaluation seed and then its picks from
+/// `rng_for_task(seed, t)`; record `k` evaluates the one-step scheme
+/// `[pick_k]` through [`execute_scheme_checked`] (`exec.eval_seed` is
+/// replaced by the task's seed), so its step RNG is
+/// `memo::step_rng(eval_seed, [pick_k])` and it is a memo entry and an
+/// `eval` fault site, with panics, divergence and the step budget
+/// supervised. The records fan out over the `par` pool and are pushed in
+/// `(t, k)` order, so the corpus is the same at any thread count. A
+/// record whose evaluation fails is reported on stderr, counted in
+/// [`ExperienceCorpus::dropped`] and left out.
 pub fn generate_experience(
     space: &StrategySpace,
-    tasks: &mut [MicroTask],
+    tasks: &[MicroTask],
     per_task: usize,
     exec: &ExecConfig,
-    rng: &mut Rng,
+    seed: u64,
 ) -> ExperienceCorpus {
     let mut corpus = ExperienceCorpus::empty(7);
     if tasks.is_empty() || per_task == 0 {
@@ -146,24 +177,54 @@ pub fn generate_experience(
             by_method.push(ids);
         }
     }
-    for task in tasks.iter_mut() {
-        let mut picks: Vec<StrategyId> = Vec::with_capacity(per_task);
-        let mut mi = 0usize;
-        while picks.len() < per_task {
-            let bucket = &by_method[mi % by_method.len()];
-            picks.push(*bucket.choose(rng).expect("non-empty bucket"));
-            mi += 1;
-        }
-        for sid in picks {
-            let mut model = task.model.clone_net();
-            apply_strategy(space.spec(sid), &mut model, &task.train_set, exec, rng);
-            let m = Metrics::measure(&mut model, &task.eval_set);
-            corpus.push(ExperienceRecord {
+    let plans: Vec<(ExecConfig, Vec<StrategyId>)> = (0..tasks.len())
+        .map(|t| {
+            let mut rng = rng_for_task(seed, t as u64);
+            let cfg = ExecConfig { eval_seed: rng.next_u64(), ..*exec };
+            let picks = (0..per_task)
+                .map(|k| {
+                    *by_method[k % by_method.len()].choose(&mut rng).expect("non-empty bucket")
+                })
+                .collect();
+            (cfg, picks)
+        })
+        .collect();
+    let total = tasks.len() * per_task;
+    let outcomes = par::par_map(total, |i| {
+        let (task, (cfg, picks)) = (&tasks[i / per_task], &plans[i / per_task]);
+        let sid = picks[i % per_task];
+        let outcome = execute_scheme_checked(
+            &task.model,
+            &task.base,
+            &[sid],
+            space,
+            &task.train_set,
+            &task.eval_set,
+            cfg,
+        );
+        match outcome {
+            EvalOutcome::Ok { outcome, .. } => Ok(ExperienceRecord {
                 strategy: sid,
                 task: task.features.clone(),
-                ar: m.ar(&task.base),
-                pr: m.pr(&task.base),
-            });
+                ar: outcome.ar,
+                pr: outcome.pr,
+            }),
+            EvalOutcome::Diverged { .. } => Err((sid, "diverged".to_string())),
+            EvalOutcome::Panicked { msg, .. } => Err((sid, format!("panicked ({msg})"))),
+            EvalOutcome::TimedOut { .. } => Err((sid, "timed out".to_string())),
+        }
+    });
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(rec) => corpus.push(rec),
+            Err((sid, why)) => {
+                eprintln!(
+                    "[experience] record {}/{total} (micro-task {}, strategy {sid}) {why}; dropped",
+                    i + 1,
+                    i / per_task
+                );
+                corpus.dropped += 1;
+            }
         }
     }
     corpus
@@ -210,7 +271,7 @@ mod tests {
     fn generated_experience_reflects_real_reductions() {
         let mut rng = rng_from_seed(221);
         let space = StrategySpace::for_methods(&[MethodId::Ns, MethodId::Sfp]);
-        let mut tasks = vec![MicroTask::new(
+        let tasks = vec![MicroTask::new(
             SyntheticKind::Cifar10Like,
             ModelKind::ResNet(20),
             4,
@@ -221,8 +282,9 @@ mod tests {
             &mut rng,
         )];
         let exec = ExecConfig { pretrain_epochs: 2.0, ..Default::default() };
-        let corpus = generate_experience(&space, &mut tasks, 4, &exec, &mut rng);
+        let corpus = generate_experience(&space, &tasks, 4, &exec, 222);
         assert_eq!(corpus.records.len(), 4);
+        assert_eq!(corpus.dropped, 0);
         for rec in &corpus.records {
             assert!(rec.pr > 0.0, "strategies remove parameters: {rec:?}");
             assert!(rec.pr < 0.9);

@@ -14,7 +14,8 @@
 //! Each clause is `kind@site:ordinal`. A *site* is a named probe placed
 //! in the code (`fault::tick("eval")` at the top of every candidate
 //! evaluation, `"train"` at the start of every training run, `"cache"`
-//! before every cache write). The probe increments a per-site counter and
+//! before every cache write, `"round"` at every written round
+//! checkpoint — `exit@round:N` kills the process right after the N-th). The probe increments a per-site counter and
 //! reports the fault kind scheduled for that ordinal, if any — counting
 //! from 1, so `panic@eval:7` fires on the seventh evaluation.
 //!
@@ -373,10 +374,24 @@ pub fn eval_ordinal() -> u64 {
 /// immediately (exit code [`INJECTED_EXIT_CODE`]), simulating a hard kill
 /// that no `catch_unwind` can absorb — only a checkpoint survives it.
 pub fn tick(site: &str) -> Option<FaultKind> {
+    let hit = tick_deferring_exit(site);
+    if hit == Some(FaultKind::Exit) {
+        exit_injected();
+    }
+    hit
+}
+
+/// [`tick`], except that a scheduled [`FaultKind::Exit`] is returned
+/// instead of acted on. For probes that must persist state recording
+/// this very tick before dying: the `round` site counts written round
+/// checkpoints, so `exit@round:N` saves checkpoint N (whose journaled
+/// counters already include the tick, so a resumed run never re-fires
+/// it) and only then calls [`exit_injected`].
+pub fn tick_deferring_exit(site: &str) -> Option<FaultKind> {
     if site == "eval" {
         EVAL_ORDINAL.fetch_add(1, Ordering::Relaxed);
     }
-    let hit = STATE.with(|s| {
+    STATE.with(|s| {
         let mut state = s.borrow_mut();
         let state = state.get_or_insert_with(|| FaultState {
             plan: env_plan(),
@@ -392,12 +407,14 @@ pub fn tick(site: &str) -> Option<FaultKind> {
             eprintln!("[fault] injecting {kind:?} at {site}:{n}");
         }
         hit
-    });
-    if hit == Some(FaultKind::Exit) {
-        eprintln!("[fault] simulated kill (exit {INJECTED_EXIT_CODE})");
-        std::process::exit(INJECTED_EXIT_CODE);
-    }
-    hit
+    })
+}
+
+/// Carry out an injected [`FaultKind::Exit`]: terminate the process on
+/// the spot with [`INJECTED_EXIT_CODE`], like a `kill -9`.
+pub fn exit_injected() -> ! {
+    eprintln!("[fault] simulated kill (exit {INJECTED_EXIT_CODE})");
+    std::process::exit(INJECTED_EXIT_CODE);
 }
 
 /// Snapshot the current thread's per-site fault counters, sorted by site
@@ -573,6 +590,15 @@ mod tests {
         assert_eq!(tick("train"), None);
         assert_eq!(tick("train"), Some(FaultKind::Nan));
         assert_eq!(tick("train"), None);
+        clear();
+    }
+
+    #[test]
+    fn a_deferred_exit_is_returned_not_carried_out() {
+        install(FaultPlan::parse("exit@round:2").unwrap());
+        assert_eq!(tick_deferring_exit("round"), None);
+        assert_eq!(tick_deferring_exit("round"), Some(FaultKind::Exit));
+        assert_eq!(counters(), vec![("round".to_string(), 2)]);
         clear();
     }
 

@@ -26,16 +26,22 @@ echo "kernel regression gate passed"
 
 # ---------------------------------------------------------------------------
 # Fault-injection smoke: the full Table 2 pipeline at the smallest scale,
-# with a seeded fault plan injecting a panic, a NaN, and a cache corruption.
-# The run must complete (degraded where the faults land, but structurally
-# valid) and print SMOKE OK. Single-threaded so the fault ordinals are
-# deterministic.
+# with a seeded fault plan injecting two panics, a NaN, and a cache
+# corruption. The experience corpus ticks the `eval` site once per record
+# (72 records) before the Table 2 grid starts, so `panic@eval:2` lands in
+# corpus record 2 — which must be reported as dropped — and
+# `panic@eval:74` lands in the grid's second configuration. The run must
+# complete (degraded where the faults land, but structurally valid) and
+# print SMOKE OK. Single-threaded so the fault ordinals are deterministic.
 # ---------------------------------------------------------------------------
 echo "== fault-injection smoke =="
-AUTOMC_THREADS=1 AUTOMC_FAULTS="panic@eval:2,nan@train:5,corrupt@cache:1" \
+AUTOMC_THREADS=1 AUTOMC_FAULTS="panic@eval:2,panic@eval:74,nan@train:5,corrupt@cache:1" \
     cargo run --release --offline -p automc-bench --bin table2 -- \
     --smoke --fresh --seed 5 2>&1 | tee /tmp/automc-smoke.log
 grep -q "SMOKE OK" /tmp/automc-smoke.log
+grep -q '^\[experience\] record 2/72 .*panicked.*dropped' /tmp/automc-smoke.log
+grep -A20 'injecting Panic at eval:74' /tmp/automc-smoke.log \
+    | grep -q 'configuration panicked'
 echo "fault-injection smoke passed"
 
 # ---------------------------------------------------------------------------
@@ -43,10 +49,11 @@ echo "fault-injection smoke passed"
 # reference, then kill a second run mid-search with an injected process
 # exit, resume it from its journal, and require byte-identical stdout.
 # `AUTOMC_RESULTS_DIR` isolates each run's cache so the resumed run can
-# only reuse what the killed run actually persisted. The eval ordinal is
-# tuned to land inside a baseline search (after the method grid); if the
-# pipeline's evaluation count drifts, the exit-code check below fails
-# loudly and the ordinal needs retuning.
+# only reuse what the killed run actually persisted. The kill is indexed
+# by round checkpoints, not evaluations: `exit@round:36` fires right after
+# the 36th journal checkpoint is written (28 method-grid configurations,
+# then 2 rounds each of AutoMC, Evolution and RL: the second round of the
+# Random search), so a journal always exists to resume from.
 # ---------------------------------------------------------------------------
 echo "== kill/resume smoke =="
 ref_dir=$(mktemp -d)
@@ -56,7 +63,7 @@ AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$ref_dir" \
     cargo run --release --offline -p automc-bench --bin table2 -- \
     --smoke --fresh --seed 7 >/tmp/automc-resume-ref.out 2>/dev/null
 set +e
-AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$res_dir" AUTOMC_FAULTS="exit@eval:58" \
+AUTOMC_THREADS=1 AUTOMC_RESULTS_DIR="$res_dir" AUTOMC_FAULTS="exit@round:36" \
     cargo run --release --offline -p automc-bench --bin table2 -- \
     --smoke --fresh --seed 7 >/dev/null 2>&1
 kill_code=$?
