@@ -11,30 +11,16 @@
 use automc_bench::harness::{automc_embeddings, run_search_with, Algo, RunOpts};
 use automc_bench::report::{render_front, render_series};
 use automc_bench::scale::{exp1, exp2, prepare_task};
-use automc_bench::transport::DistRunner;
 use automc_bench::{orchestrator, parse_args, transport};
 use automc_compress::StrategySpace;
 use automc_core::SearchHistory;
 
 fn main() {
     let args = parse_args();
-    if let Some(addr) = args.connect.clone() {
-        std::process::exit(transport::run_worker_connect(&args, &addr));
-    }
+    let mut runner = transport::fleet(&args);
     let (seed, fresh) = (args.seed, args.fresh);
     println!("Figure 4 reproduction (seed {seed})");
     let space = StrategySpace::full();
-    let mut runner = if transport::dist_mode(&args) {
-        match DistRunner::start(&args) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("error: cannot start the distributed task server: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        None
-    };
     for exp in [exp1(), exp2()] {
         println!("\n### {} ###", exp.name);
         let histories: Vec<Option<SearchHistory>> = match runner.as_mut() {

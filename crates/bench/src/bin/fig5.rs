@@ -38,23 +38,10 @@ fn front_of(history: &SearchHistory, gamma: f32) -> Vec<(f32, f32)> {
 
 fn main() {
     let args = parse_args();
-    if let Some(addr) = args.connect.clone() {
-        std::process::exit(transport::run_worker_connect(&args, &addr));
-    }
+    let mut runner = transport::fleet(&args);
     let (seed, fresh) = (args.seed, args.fresh);
     println!("Figure 5 reproduction (seed {seed})");
     let full_space = StrategySpace::full();
-    let mut runner = if transport::dist_mode(&args) {
-        match DistRunner::start(&args) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("error: cannot start the distributed task server: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        None
-    };
     let mut ctx = UnitCtx::new();
 
     // Exp1 by default; pass --both to add Exp2 (its ablation searches are

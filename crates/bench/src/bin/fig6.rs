@@ -13,30 +13,16 @@ use automc_bench::harness::{
 };
 use automc_bench::scale::prepare_task;
 use automc_bench::scale::{exp1, exp2};
-use automc_bench::transport::DistRunner;
 use automc_bench::{orchestrator, parse_args, transport};
 use automc_compress::StrategySpace;
 use automc_core::SearchHistory;
 
 fn main() {
     let args = parse_args();
-    if let Some(addr) = args.connect.clone() {
-        std::process::exit(transport::run_worker_connect(&args, &addr));
-    }
+    let mut runner = transport::fleet(&args);
     let seed = args.seed;
     println!("Figure 6 reproduction (seed {seed}) — AutoMC's searched schemes\n");
     let space = StrategySpace::full();
-    let mut runner = if transport::dist_mode(&args) {
-        match DistRunner::start(&args) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("error: cannot start the distributed task server: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        None
-    };
     for exp in [exp1(), exp2()] {
         let history: Option<SearchHistory> = match runner.as_mut() {
             Some(r) => orchestrator::fetch_searches(r, &exp, seed, false, &[0])

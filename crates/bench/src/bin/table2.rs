@@ -26,10 +26,7 @@ use automc_core::SearchHistory;
 
 fn main() {
     let args = parse_args();
-    if let Some(addr) = args.connect.clone() {
-        std::process::exit(transport::run_worker_connect(&args, &addr));
-    }
-    let mut runner = start_runner(&args);
+    let mut runner = transport::fleet(&args);
     if args.smoke {
         run_smoke(&args, runner.as_mut());
     } else {
@@ -47,22 +44,6 @@ fn main() {
     }
     if let Some(mut r) = runner {
         r.shutdown();
-    }
-}
-
-/// Start the task server when a distributed run was requested
-/// (`--workers N` and/or `--listen ADDR`); one server spans every
-/// experiment in the run.
-fn start_runner(args: &BenchArgs) -> Option<DistRunner> {
-    if !transport::dist_mode(args) {
-        return None;
-    }
-    match DistRunner::start(args) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            eprintln!("error: cannot start the distributed task server: {e}");
-            std::process::exit(1);
-        }
     }
 }
 

@@ -31,21 +31,8 @@ fn model_label(kind: ModelKind, exp_name: &str) -> String {
 
 fn main() {
     let args = parse_args();
-    if let Some(addr) = args.connect.clone() {
-        std::process::exit(transport::run_worker_connect(&args, &addr));
-    }
+    let mut runner = transport::fleet(&args);
     let (seed, fresh) = (args.seed, args.fresh);
-    let mut runner = if transport::dist_mode(&args) {
-        match DistRunner::start(&args) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("error: cannot start the distributed task server: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        None
-    };
     let exps: Vec<ExperimentScale> =
         if args.smoke { vec![smoke()] } else { vec![exp1(), exp2()] };
     if args.smoke {

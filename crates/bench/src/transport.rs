@@ -1,10 +1,13 @@
 //! Distributed execution over TCP: a supervisor-side task server with a
 //! dynamic pull queue, and the worker loop that connects to it.
 //!
-//! The wire reuses the strict newline-delimited `automc-json` framing
-//! from [`automc_json::wire`] (the same layer `automc-serve` speaks): one
-//! JSON object per line, non-finite numbers are serialisation errors,
-//! `null`-as-number is a malformed frame.
+//! Both sides speak through the shared connection layer
+//! [`automc_json::wire`] (the same layer `automc-serve` uses): strict
+//! newline-delimited JSON frames, `TCP_NODELAY`, the `--io-timeout-ms`
+//! socket deadline, and one accept loop. Each side keeps only its own
+//! reading of a deadline expiry: the worker treats an idle or stalled
+//! link as lost and reconnects; the supervisor severs only a connection
+//! stalled mid-frame, because the heartbeat deadline owns liveness.
 //!
 //! Protocol (worker → supervisor / supervisor → worker):
 //!
@@ -40,16 +43,15 @@ use crate::orchestrator::{self, OrchJournal, WORKER_KILL_EXIT};
 use crate::scale::ExperimentScale;
 use crate::BenchArgs;
 use automc_core::journal::{self, Heartbeat};
-use automc_json::wire::{is_timeout, write_frame, FrameReader};
-use automc_json::{field, obj, ToJson, Value};
+use automc_json::wire::{self, frame, lock, write_frame, Recv, Stall, Stop};
+use automc_json::{field, ToJson, Value};
 use automc_tensor::fault::{self, FaultKind};
 use std::collections::{HashMap, VecDeque};
-use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Base of the exponential restart/reconnect backoff (doubles per retry).
@@ -104,14 +106,25 @@ impl SchedPolicy {
     }
 }
 
-/// Whether the flags ask for the distributed layer: local self-exec
-/// workers (`--workers N`), an exposed listener (`--listen`), or both.
-pub fn dist_mode(args: &BenchArgs) -> bool {
-    args.workers > 0 || args.listen.is_some()
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// The fleet entry of the experiment binaries. As a `--connect` worker,
+/// serve units until shut down and exit with the worker's code.
+/// Otherwise start the task server when a distributed run was requested
+/// (`--workers N` / `--listen ADDR`; exit 1 if it cannot start), or
+/// return `None` for an in-process run.
+pub fn fleet(args: &BenchArgs) -> Option<DistRunner> {
+    if let Some(addr) = args.connect.as_deref() {
+        std::process::exit(run_worker_connect(args, addr));
+    }
+    if args.workers == 0 && args.listen.is_none() {
+        return None;
+    }
+    match DistRunner::start(args) {
+        Ok(r) => Some(r),
+        Err(e) => {
+            eprintln!("error: cannot start the distributed task server: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 // ------------------------------------------------------------------------
@@ -119,31 +132,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // ------------------------------------------------------------------------
 
 fn f_hello(pid: u64, slot: Option<usize>) -> Value {
-    obj(vec![
-        ("type", "hello".to_json()),
-        ("pid", pid.to_json()),
-        ("slot", slot.map_or(Value::Null, |s| (s as u64).to_json())),
-    ])
-}
-
-fn f_welcome(worker: u64) -> Value {
-    obj(vec![("type", "welcome".to_json()), ("worker", worker.to_json())])
-}
-
-fn f_pull() -> Value {
-    obj(vec![("type", "pull".to_json())])
-}
-
-fn f_beat(hb: &Heartbeat) -> Value {
-    obj(vec![("type", "beat".to_json()), ("hb", hb.to_json())])
-}
-
-fn f_idle(ms: u64) -> Value {
-    obj(vec![("type", "idle".to_json()), ("ms", ms.to_json())])
-}
-
-fn f_shutdown() -> Value {
-    obj(vec![("type", "shutdown".to_json())])
+    let slot = slot.map_or(Value::Null, |s| (s as u64).to_json());
+    frame("hello", vec![("pid", pid.to_json()), ("slot", slot)])
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -156,8 +146,7 @@ fn f_task(
     fingerprint: &str,
     params: &Value,
 ) -> Value {
-    obj(vec![
-        ("type", "task".to_json()),
+    frame("task", vec![
         ("experiment", experiment.to_json()),
         ("scale", scale.to_json()),
         ("seed", seed.to_json()),
@@ -174,17 +163,16 @@ fn f_result(
     unit: usize,
     outcome: &Result<Value, String>,
 ) -> Value {
-    let mut fields = vec![
-        ("type", "result".to_json()),
+    let outcome = match outcome {
+        Ok(v) => ("payload", v.clone()),
+        Err(e) => ("error", e.to_json()),
+    };
+    frame("result", vec![
         ("experiment", experiment.to_json()),
         ("scale", scale.to_json()),
         ("unit", (unit as u64).to_json()),
-    ];
-    match outcome {
-        Ok(v) => fields.push(("payload", v.clone())),
-        Err(e) => fields.push(("error", e.to_json())),
-    }
-    obj(fields)
+        outcome,
+    ])
 }
 
 /// Shared write half of a worker's connection: result frames and
@@ -202,118 +190,90 @@ fn send(w: &SharedWriter, v: &Value) -> std::io::Result<()> {
 
 /// Background heartbeat emitter: one `beat` frame per interval through
 /// the shared writer. Freezing it (the injected hang) stops all further
-/// beats without stopping the process. Send failures are rate-limited:
-/// the first is logged, the rest are counted and summarised at finish —
-/// a supervisor that went away would otherwise spam one warning per
-/// interval for the rest of the run.
+/// beats without stopping the process.
 struct Emitter {
-    stop: Arc<AtomicBool>,
-    frozen: Arc<AtomicBool>,
-    tasks_done: Arc<AtomicU64>,
-    warned: Arc<AtomicBool>,
-    suppressed: Arc<AtomicU64>,
+    beats: Arc<Beats>,
     handle: Option<std::thread::JoinHandle<u64>>,
     writer: SharedWriter,
     worker: u64,
 }
 
-impl Emitter {
-    fn send_beat(
-        writer: &SharedWriter,
-        hb: &Heartbeat,
-        warned: &AtomicBool,
-        suppressed: &AtomicU64,
-    ) {
-        if let Err(e) = send(writer, &f_beat(hb)) {
-            if warned.swap(true, Ordering::Relaxed) {
-                suppressed.fetch_add(1, Ordering::Relaxed);
-            } else {
-                eprintln!(
-                    "warning: worker {} cannot send heartbeat: {e}; \
-                     suppressing further heartbeat warnings",
-                    hb.worker
-                );
-            }
-        }
-    }
+/// State shared by an [`Emitter`] and its thread.
+#[derive(Default)]
+struct Beats {
+    stop: AtomicBool,
+    frozen: AtomicBool,
+    tasks_done: AtomicU64,
+    warned: AtomicBool,
+    suppressed: AtomicU64,
+}
 
-    fn start(worker: u64, writer: SharedWriter, interval_ms: u64) -> Emitter {
-        let stop = Arc::new(AtomicBool::new(false));
-        let frozen = Arc::new(AtomicBool::new(false));
-        let tasks_done = Arc::new(AtomicU64::new(0));
-        let warned = Arc::new(AtomicBool::new(false));
-        let suppressed = Arc::new(AtomicU64::new(0));
-        let beat = move |seq: u64, tasks: u64, done: bool| Heartbeat {
+impl Beats {
+    /// Send beat `seq`. Send failures are rate-limited: the first is
+    /// logged, the rest are counted and summarised at finish — a
+    /// supervisor that went away would otherwise spam one warning per
+    /// interval for the rest of the run.
+    fn send(&self, writer: &SharedWriter, worker: u64, seq: u64, done: bool) {
+        let hb = Heartbeat {
             worker,
             pid: std::process::id() as u64,
             seq,
             eval: fault::eval_ordinal(),
-            tasks_done: tasks,
+            tasks_done: self.tasks_done.load(Ordering::Relaxed),
             done,
         };
+        if let Err(e) = send(writer, &frame("beat", vec![("hb", hb.to_json())])) {
+            if self.warned.swap(true, Ordering::Relaxed) {
+                self.suppressed.fetch_add(1, Ordering::Relaxed);
+            } else {
+                eprintln!(
+                    "warning: worker {worker} cannot send heartbeat: {e}; \
+                     suppressing further heartbeat warnings"
+                );
+            }
+        }
+    }
+}
+
+impl Emitter {
+    fn start(worker: u64, writer: SharedWriter, interval_ms: u64) -> Emitter {
+        let beats = Arc::new(Beats::default());
         // First beat synchronously, so the supervisor's staleness clock
         // starts from a real frame rather than from thread scheduling.
-        Emitter::send_beat(&writer, &beat(1, 0, false), &warned, &suppressed);
+        beats.send(&writer, worker, 1, false);
         let handle = {
-            let stop = Arc::clone(&stop);
-            let frozen = Arc::clone(&frozen);
-            let tasks_done = Arc::clone(&tasks_done);
-            let warned = Arc::clone(&warned);
-            let suppressed = Arc::clone(&suppressed);
-            let writer = Arc::clone(&writer);
+            let (beats, writer) = (Arc::clone(&beats), Arc::clone(&writer));
             std::thread::spawn(move || {
                 let mut seq = 1u64;
-                while !stop.load(Ordering::Relaxed) {
+                while !beats.stop.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(interval_ms));
-                    if frozen.load(Ordering::Relaxed) || stop.load(Ordering::Relaxed) {
+                    if beats.frozen.load(Ordering::Relaxed) || beats.stop.load(Ordering::Relaxed) {
                         continue;
                     }
                     seq += 1;
-                    Emitter::send_beat(
-                        &writer,
-                        &beat(seq, tasks_done.load(Ordering::Relaxed), false),
-                        &warned,
-                        &suppressed,
-                    );
+                    beats.send(&writer, worker, seq, false);
                 }
                 seq
             })
         };
-        Emitter {
-            stop,
-            frozen,
-            tasks_done,
-            warned,
-            suppressed,
-            handle: Some(handle),
-            writer,
-            worker,
-        }
+        Emitter { beats, handle: Some(handle), writer, worker }
     }
 
     fn bump_tasks(&self) {
-        self.tasks_done.fetch_add(1, Ordering::Relaxed);
+        self.beats.tasks_done.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Injected hang: no further beats, ever.
     fn freeze(&self) {
-        self.frozen.store(true, Ordering::Relaxed);
+        self.beats.frozen.store(true, Ordering::Relaxed);
     }
 
     /// Stop the thread and send the final `done` beat.
     fn finish(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.beats.stop.store(true, Ordering::Relaxed);
         let seq = self.handle.take().map_or(0, |h| h.join().unwrap_or(0));
-        let last = Heartbeat {
-            worker: self.worker,
-            pid: std::process::id() as u64,
-            seq: seq + 1,
-            eval: fault::eval_ordinal(),
-            tasks_done: self.tasks_done.load(Ordering::Relaxed),
-            done: true,
-        };
-        Emitter::send_beat(&self.writer, &last, &self.warned, &self.suppressed);
-        let suppressed = self.suppressed.load(Ordering::Relaxed);
+        self.beats.send(&self.writer, self.worker, seq + 1, true);
+        let suppressed = self.beats.suppressed.load(Ordering::Relaxed);
         if suppressed > 0 {
             eprintln!(
                 "warning: worker {}: suppressed {suppressed} repeated heartbeat \
@@ -322,6 +282,20 @@ impl Emitter {
             );
         }
     }
+}
+
+/// The parent process of this worker, noted when it starts, so a worker
+/// parked by an injected hang can tell that it has been orphaned.
+static SPAWNED_BY: OnceLock<Option<u32>> = OnceLock::new();
+
+#[cfg(unix)]
+fn parent_pid() -> Option<u32> {
+    Some(std::os::unix::process::parent_id())
+}
+
+#[cfg(not(unix))]
+fn parent_pid() -> Option<u32> {
+    None
 }
 
 enum ConnEnd {
@@ -343,6 +317,7 @@ enum ConnEnd {
 /// safe); completed units are cached in this process's own store, so a
 /// re-delivered unit is a cache hit, not a recompute.
 pub fn run_worker_connect(args: &BenchArgs, addr: &str) -> i32 {
+    SPAWNED_BY.get_or_init(parent_pid);
     let directive = std::env::var("AUTOMC_WORKER_FAULT").unwrap_or_default();
     let mut ctx = harness::UnitCtx::new();
     let mut units_done = 0u64;
@@ -380,40 +355,26 @@ fn serve_connection(
     directive: &str,
     failures: &mut u32,
 ) -> ConnEnd {
-    let stream = match TcpStream::connect(addr) {
-        Ok(s) => s,
+    let connected = TcpStream::connect(addr).and_then(|s| wire::open(s, args.io_timeout_ms));
+    let (mut reader, stream) = match connected {
+        Ok(halves) => halves,
         Err(e) => return ConnEnd::Lost(format!("connect {addr}: {e}")),
     };
-    let _ = stream.set_nodelay(true);
-    if args.io_timeout_ms > 0 {
-        // Deadline every socket op: a half-dead supervisor link surfaces
-        // as a timeout (classified below) instead of parking this worker
-        // in a blocking read forever. The options live on the underlying
-        // socket, so the cloned reader half inherits them.
-        let dt = Duration::from_millis(args.io_timeout_ms);
-        let _ = stream.set_read_timeout(Some(dt));
-        let _ = stream.set_write_timeout(Some(dt));
-    }
-    let reader_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(e) => return ConnEnd::Lost(format!("clone stream: {e}")),
-    };
-    let mut reader = FrameReader::new(BufReader::new(reader_half));
     let writer: SharedWriter = Arc::new(Mutex::new(stream));
     if let Err(e) = send(&writer, &f_hello(std::process::id() as u64, args.worker_slot)) {
         return ConnEnd::Lost(format!("hello: {e}"));
     }
-    let wid = match reader.read_frame() {
-        Ok(Some(v)) if field::<String>(&v, "type").as_deref() == Some("welcome") => {
+    let wid = match reader.recv() {
+        Ok(Recv::Frame(v)) if field::<String>(&v, "type").as_deref() == Some("welcome") => {
             field::<u64>(&v, "worker").unwrap_or(0)
         }
-        Ok(_) => return ConnEnd::Lost("no welcome frame".into()),
-        Err(e) if is_timeout(&e) => {
+        Ok(Recv::Timeout(_)) => {
             return ConnEnd::Lost(format!(
                 "welcome: no reply within {} ms",
                 args.io_timeout_ms
             ))
         }
+        Ok(_) => return ConnEnd::Lost("no welcome frame".into()),
         Err(e) => return ConnEnd::Lost(format!("welcome: {e}")),
     };
     // A completed handshake resets the give-up counter: only *consecutive*
@@ -422,19 +383,18 @@ fn serve_connection(
     eprintln!("[worker {wid}] connected to {addr}");
     let emitter = Emitter::start(wid, Arc::clone(&writer), args.heartbeat_ms.max(10));
     let end = loop {
-        if let Err(e) = send(&writer, &f_pull()) {
+        if let Err(e) = send(&writer, &frame("pull", Vec::new())) {
             break ConnEnd::Lost(format!("pull: {e}"));
         }
-        let frame = match reader.read_frame() {
-            Ok(Some(v)) => v,
-            Ok(None) => break ConnEnd::Lost("supervisor closed the connection".into()),
-            Err(e) if is_timeout(&e) => {
+        let frame = match reader.recv() {
+            Ok(Recv::Frame(v)) => v,
+            Ok(Recv::Closed) => break ConnEnd::Lost("supervisor closed the connection".into()),
+            Ok(Recv::Timeout(stall)) => {
                 // The supervisor answers every pull promptly, so a read
-                // deadline expiring here — mid-frame or not — means the
+                // deadline expiring here — idle or mid-frame — means the
                 // link is dead or wedged. Reconnect on a fresh socket.
-                let how = if reader.has_partial() { "stalled mid-frame" } else { "silent" };
                 break ConnEnd::Lost(format!(
-                    "supervisor {how} for {} ms",
+                    "supervisor {stall} for {} ms",
                     args.io_timeout_ms
                 ));
             }
@@ -537,10 +497,14 @@ fn run_task_frame(
                     eprintln!("[worker {wid}] injected hang after unit {unit}");
                     emitter.freeze();
                     // Park until the supervisor's deadline (or shutdown
-                    // kill) reclaims us.
-                    loop {
-                        std::thread::sleep(Duration::from_secs(3600));
+                    // kill) reclaims us. A supervisor that exits first
+                    // never will, so an orphaned worker ends rather than
+                    // hold the supervisor's inherited stderr open forever.
+                    while parent_pid() == *SPAWNED_BY.get_or_init(parent_pid) {
+                        std::thread::sleep(Duration::from_millis(200));
                     }
+                    eprintln!("[worker {wid}] orphaned while hung; exiting");
+                    std::process::exit(3);
                 }
                 _ => {}
             }
@@ -620,6 +584,13 @@ fn select_unit(round: &mut Round, policy: SchedPolicy, static_workers: usize, wi
     }
 }
 
+/// Close a connection from the supervisor side and hand back its unit.
+fn sever(st: &mut SuperState, idx: usize) {
+    let _ = st.conns[idx].stream.shutdown(Shutdown::Both);
+    st.conns[idx].alive = false;
+    lost_assignment(st, idx);
+}
+
 /// Re-enqueue (or, past the attempt budget, degrade) the unit a dead or
 /// severed connection was holding.
 fn lost_assignment(st: &mut SuperState, idx: usize) {
@@ -654,7 +625,7 @@ fn lost_assignment(st: &mut SuperState, idx: usize) {
 /// idle, or to shut down. Returns `false` when the connection should end.
 fn handle_pull(st: &mut SuperState, idx: usize) -> bool {
     if st.shutdown {
-        let _ = write_frame(&mut &st.conns[idx].stream, &f_shutdown());
+        let _ = write_frame(&mut &st.conns[idx].stream, &frame("shutdown", Vec::new()));
         return false;
     }
     let wid = st.conns[idx].wid;
@@ -696,9 +667,7 @@ fn handle_pull(st: &mut SuperState, idx: usize) -> bool {
             };
             if let Err(e) = write_frame(&mut &st.conns[idx].stream, &frame) {
                 eprintln!("[dist] cannot send task to worker {wid} ({e}); dropping it");
-                let _ = st.conns[idx].stream.shutdown(Shutdown::Both);
-                st.conns[idx].alive = false;
-                lost_assignment(st, idx);
+                sever(st, idx);
                 return false;
             }
             if injected_drop {
@@ -707,18 +676,16 @@ fn handle_pull(st: &mut SuperState, idx: usize) -> bool {
                      unit {unit})",
                     st.assigns
                 );
-                let _ = st.conns[idx].stream.shutdown(Shutdown::Both);
-                st.conns[idx].alive = false;
-                lost_assignment(st, idx);
+                sever(st, idx);
                 return false;
             }
             true
         }
         None => {
-            if let Err(e) = write_frame(&mut &st.conns[idx].stream, &f_idle(IDLE_MS)) {
+            let idle = frame("idle", vec![("ms", IDLE_MS.to_json())]);
+            if let Err(e) = write_frame(&mut &st.conns[idx].stream, &idle) {
                 eprintln!("[dist] cannot send idle to worker {wid} ({e})");
-                st.conns[idx].alive = false;
-                lost_assignment(st, idx);
+                sever(st, idx);
                 return false;
             }
             true
@@ -727,7 +694,9 @@ fn handle_pull(st: &mut SuperState, idx: usize) -> bool {
 }
 
 /// Handle a streamed `result` frame: journal the payload and mark the
-/// unit resolved, or count the failed attempt and re-enqueue/degrade.
+/// unit resolved, or count the failed attempt and re-enqueue/degrade. A
+/// malformed frame — a field missing or mistyped, or neither `payload`
+/// nor a string `error` — is ignored.
 fn handle_result(st: &mut SuperState, idx: usize, frame: &Value) {
     let (Some(experiment), Some(scale), Some(unit)) = (
         field::<String>(frame, "experiment"),
@@ -735,6 +704,11 @@ fn handle_result(st: &mut SuperState, idx: usize, frame: &Value) {
         field::<u64>(frame, "unit").map(|u| u as usize),
     ) else {
         return;
+    };
+    let outcome = match (frame.get("payload"), field::<String>(frame, "error")) {
+        (Some(payload), _) => Ok(payload),
+        (None, Some(why)) => Err(why),
+        (None, None) => return,
     };
     if st.conns[idx].inflight == Some(unit) {
         st.conns[idx].inflight = None;
@@ -749,8 +723,8 @@ fn handle_result(st: &mut SuperState, idx: usize, frame: &Value) {
     {
         return; // late duplicate or stale round — already handled
     }
-    match frame.get("payload") {
-        Some(payload) => {
+    match outcome {
+        Ok(payload) => {
             // Journal the completed unit in the supervisor's own store so
             // a restarted supervisor replays the merge instead of
             // re-running finished work.
@@ -761,8 +735,7 @@ fn handle_result(st: &mut SuperState, idx: usize, frame: &Value) {
             );
             round.resolved.insert(unit, Some(payload.clone()));
         }
-        None => {
-            let why: String = field(frame, "error").unwrap_or_else(|| "unknown error".into());
+        Err(why) => {
             eprintln!("[dist] worker {wid} failed unit {unit} of {experiment}: {why}");
             let attempts = round.attempts.get(&unit).copied().unwrap_or(1);
             if attempts >= budget + 1 {
@@ -778,31 +751,37 @@ fn handle_result(st: &mut SuperState, idx: usize, frame: &Value) {
     }
 }
 
-fn conn_thread(state: Arc<Mutex<SuperState>>, stream: TcpStream, io_timeout_ms: u64) {
-    let _ = stream.set_nodelay(true);
-    if io_timeout_ms > 0 {
-        // Deadline the supervisor's side of the link too: a worker that
-        // connects and then stalls mid-frame must not pin this thread
-        // (and whatever unit it holds) until process exit.
-        let dt = Duration::from_millis(io_timeout_ms);
-        let _ = stream.set_read_timeout(Some(dt));
-        let _ = stream.set_write_timeout(Some(dt));
+/// Dispatch one frame from a registered worker; `false` ends the
+/// connection. A `beat` only refreshes liveness (the caller stamps
+/// `last_frame`), and a frame of no known type is ignored.
+fn handle_frame(st: &mut SuperState, idx: usize, frame: &Value) -> bool {
+    match field::<String>(frame, "type").as_deref() {
+        Some("pull") => handle_pull(st, idx),
+        Some("result") => {
+            handle_result(st, idx, frame);
+            true
+        }
+        _ => true,
     }
-    let Ok(reader_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = FrameReader::new(BufReader::new(reader_half));
-    let hello = match reader.read_frame() {
+}
+
+fn conn_thread(
+    state: &Mutex<SuperState>,
+    mut reader: wire::Reader,
+    stream: TcpStream,
+    io_timeout_ms: u64,
+) {
+    let hello = match reader.recv() {
         // A connection that cannot even say hello within the deadline is
         // reaped before it is ever registered as a worker.
-        Ok(Some(v)) if field::<String>(&v, "type").as_deref() == Some("hello") => v,
+        Ok(Recv::Frame(v)) if field::<String>(&v, "type").as_deref() == Some("hello") => v,
         _ => return,
     };
     let slot = field::<u64>(&hello, "slot").map(|s| s as usize);
     let idx;
     let wid;
     {
-        let mut st = lock(&state);
+        let mut st = lock(state);
         wid = match slot {
             Some(s) => s as u64,
             None => {
@@ -820,7 +799,8 @@ fn conn_thread(state: Arc<Mutex<SuperState>>, stream: TcpStream, io_timeout_ms: 
             inflight: None,
             last_frame: Instant::now(),
         });
-        if write_frame(&mut &st.conns[idx].stream, &f_welcome(wid)).is_err() {
+        let welcome = frame("welcome", vec![("worker", wid.to_json())]);
+        if write_frame(&mut &st.conns[idx].stream, &welcome).is_err() {
             st.conns[idx].alive = false;
             return;
         }
@@ -830,53 +810,35 @@ fn conn_thread(state: Arc<Mutex<SuperState>>, stream: TcpStream, io_timeout_ms: 
         None => String::new(),
     });
     loop {
-        let frame = match reader.read_frame() {
-            Ok(Some(v)) => v,
-            Err(e) if is_timeout(&e) => {
-                let mut st = lock(&state);
-                if !st.conns[idx].alive {
-                    break; // severed elsewhere; exit quietly
-                }
-                if reader.has_partial() {
-                    // Mid-frame stall: the peer started a frame and went
-                    // quiet, so the stream can never resynchronise.
-                    // Sever it and hand its unit back to the queue.
-                    eprintln!(
-                        "[dist] worker {wid} stalled mid-frame for {io_timeout_ms} ms; \
-                         severing the connection"
-                    );
-                    let _ = st.conns[idx].stream.shutdown(Shutdown::Both);
-                    st.conns[idx].alive = false;
-                    lost_assignment(&mut st, idx);
-                    break;
-                }
-                // Clean idle: no partial frame pending. Liveness policy
-                // belongs to the heartbeat deadline in the supervision
-                // loop, not here — keep waiting (the `alive` check above
-                // doubles as the exit path once that loop severs us).
-                continue;
-            }
-            Ok(None) | Err(_) => break,
-        };
-        let mut st = lock(&state);
+        let recv = reader.recv();
+        let mut st = lock(state);
         if !st.conns[idx].alive {
             break; // severed by the supervision loop or a net fault
         }
-        st.conns[idx].last_frame = Instant::now();
-        let keep = match field::<String>(&frame, "type").as_deref() {
-            Some("pull") => handle_pull(&mut st, idx),
-            Some("result") => {
-                handle_result(&mut st, idx, &frame);
-                true
+        match recv {
+            Ok(Recv::Frame(frame)) => {
+                st.conns[idx].last_frame = Instant::now();
+                if !handle_frame(&mut st, idx, &frame) {
+                    break;
+                }
             }
-            Some("beat") => true,
-            _ => true,
-        };
-        if !keep {
-            break;
+            Ok(Recv::Timeout(Stall::MidFrame)) => {
+                // The peer started a frame and went quiet, so the stream
+                // can never resynchronise: sever it and requeue its unit.
+                eprintln!(
+                    "[dist] worker {wid} stalled mid-frame for {io_timeout_ms} ms; \
+                     severing the connection"
+                );
+                sever(&mut st, idx);
+                break;
+            }
+            // Idle between frames: liveness belongs to the heartbeat
+            // deadline in the supervision loop, so keep waiting.
+            Ok(Recv::Timeout(Stall::Idle)) => {}
+            Ok(Recv::Closed) | Err(_) => break,
         }
     }
-    let mut st = lock(&state);
+    let mut st = lock(state);
     if st.conns[idx].alive {
         st.conns[idx].alive = false;
         lost_assignment(&mut st, idx);
@@ -886,42 +848,12 @@ fn conn_thread(state: Arc<Mutex<SuperState>>, stream: TcpStream, io_timeout_ms: 
 
 /// One supervised local worker process.
 struct Slot {
-    idx: usize,
     child: Option<Child>,
     retries: u64,
     spawns: u64,
     done: bool,
     failed: bool,
     backoff_until: Option<Instant>,
-}
-
-/// Outcome of one local-worker failure: retry (with backoff) or give up.
-fn fail_or_retry(
-    slot: &mut Slot,
-    why: &str,
-    budget: u64,
-    now: Instant,
-    jpath: &std::path::Path,
-    jstate: &mut OrchJournal,
-) {
-    slot.retries += 1;
-    jstate.retries[slot.idx] = slot.retries;
-    jstate.save(jpath);
-    if slot.retries > budget {
-        slot.failed = true;
-        eprintln!(
-            "[dist] worker {} {why}; retry budget ({budget}) exhausted — \
-             its unfinished units degrade unless a sibling absorbs them",
-            slot.idx
-        );
-    } else {
-        let backoff = (BACKOFF_BASE_MS << (slot.retries - 1).min(32)).min(BACKOFF_CAP_MS);
-        eprintln!(
-            "[dist] worker {} {why}; retry {}/{budget} in {backoff} ms",
-            slot.idx, slot.retries
-        );
-        slot.backoff_until = Some(now + Duration::from_millis(backoff));
-    }
 }
 
 /// The distributed task server: a TCP listener, the shared work-queue
@@ -932,7 +864,7 @@ fn fail_or_retry(
 pub struct DistRunner {
     state: Arc<Mutex<SuperState>>,
     addr: SocketAddr,
-    accept_stop: Arc<AtomicBool>,
+    accept_stop: Stop,
     accept_handle: Option<std::thread::JoinHandle<()>>,
     slots: Vec<Slot>,
     exe: Option<PathBuf>,
@@ -987,22 +919,15 @@ impl DistRunner {
             static_workers: args.workers.max(1),
             shutdown: false,
         }));
-        let accept_stop = Arc::new(AtomicBool::new(false));
+        let accept_stop = Stop::new(addr);
         let accept_handle = {
             let state = Arc::clone(&state);
-            let stop = Arc::clone(&accept_stop);
+            let stop = accept_stop.clone();
             let io_timeout_ms = args.io_timeout_ms;
             std::thread::Builder::new().name("dist-accept".into()).spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let state = Arc::clone(&state);
-                    let _ = std::thread::Builder::new()
-                        .name("dist-conn".into())
-                        .spawn(move || conn_thread(state, stream, io_timeout_ms));
-                }
+                wire::accept_loop(&listener, &stop, io_timeout_ms, "dist", move |r, w| {
+                    conn_thread(&state, r, w, io_timeout_ms)
+                });
             })?
         };
         let exe = match std::env::current_exe() {
@@ -1047,7 +972,6 @@ impl DistRunner {
         let budget = args.retries as u64;
         let slots = (0..if exe.is_some() { args.workers } else { 0 })
             .map(|idx| Slot {
-                idx,
                 child: None,
                 retries: jstate.retries[idx],
                 spawns: 0,
@@ -1079,15 +1003,11 @@ impl DistRunner {
     }
 
     fn spawn_local(&mut self, idx: usize, now: Instant) {
-        let Some(exe) = self.exe.clone() else { return };
-        let args = self.args.clone();
-        let addr = self.addr;
-        let root = self.root.clone();
-        let budget = self.args.retries as u64;
-        let slot = &mut self.slots[idx];
+        let Some(exe) = &self.exe else { return };
+        let (args, root) = (&self.args, &self.root);
         let mut cmd = Command::new(exe);
         cmd.arg("--connect")
-            .arg(addr.to_string())
+            .arg(self.addr.to_string())
             .arg("--worker-slot")
             .arg(idx.to_string())
             .arg("--threads")
@@ -1102,8 +1022,8 @@ impl DistRunner {
         if let Some(memo) = args.memo {
             cmd.arg("--memo").arg(if memo { "on" } else { "off" });
         }
-        cmd.env("AUTOMC_RESULTS_DIR", orchestrator::worker_dir(&root, idx))
-            .env("AUTOMC_SHARED_RESULTS_DIR", &root)
+        cmd.env("AUTOMC_RESULTS_DIR", orchestrator::worker_dir(root, idx))
+            .env("AUTOMC_SHARED_RESULTS_DIR", root)
             .env("AUTOMC_MEMO_SPILL_DIR", root.join("memo"))
             // Fault plans are the supervisor's to interpret: worker-site
             // faults become directives; eval-site plans must not replicate
@@ -1123,17 +1043,30 @@ impl DistRunner {
         cmd.stdin(Stdio::null()).stdout(Stdio::null()).stderr(Stdio::inherit());
         match cmd.spawn() {
             Ok(child) => {
-                slot.spawns += 1;
-                slot.child = Some(child);
+                self.slots[idx].spawns += 1;
+                self.slots[idx].child = Some(child);
             }
-            Err(e) => fail_or_retry(
-                slot,
-                &format!("failed to spawn ({e})"),
-                budget,
-                now,
-                &self.jpath,
-                &mut self.jstate,
-            ),
+            Err(e) => self.fail_or_retry(idx, &format!("failed to spawn ({e})"), now),
+        }
+    }
+
+    /// Count one local-worker failure: retry (with backoff) or give up.
+    fn fail_or_retry(&mut self, idx: usize, why: &str, now: Instant) {
+        let budget = self.args.retries as u64;
+        let slot = &mut self.slots[idx];
+        slot.retries += 1;
+        self.jstate.retries[idx] = slot.retries;
+        self.jstate.save(&self.jpath);
+        if slot.retries > budget {
+            slot.failed = true;
+            eprintln!(
+                "[dist] worker {idx} {why}; retry budget ({budget}) exhausted — \
+                 its unfinished units degrade unless a sibling absorbs them"
+            );
+        } else {
+            let backoff = (BACKOFF_BASE_MS << (slot.retries - 1).min(32)).min(BACKOFF_CAP_MS);
+            eprintln!("[dist] worker {idx} {why}; retry {}/{budget} in {backoff} ms", slot.retries);
+            slot.backoff_until = Some(now + Duration::from_millis(backoff));
         }
     }
 
@@ -1141,53 +1074,42 @@ impl DistRunner {
     /// children with backoff, spawn anything not yet running.
     fn supervise_slots(&mut self) {
         let now = Instant::now();
-        let budget = self.args.retries as u64;
         for idx in 0..self.slots.len() {
             let slot = &mut self.slots[idx];
             if slot.failed || slot.done {
                 continue;
             }
-            match slot.child.take() {
+            let why = match slot.child.take() {
                 None => {
                     if slot.backoff_until.is_some_and(|t| now < t) {
                         continue;
                     }
                     slot.backoff_until = None;
                     self.spawn_local(idx, now);
+                    continue;
                 }
                 Some(mut child) => match child.try_wait() {
                     Ok(Some(status)) if status.success() => {
                         slot.done = true;
-                        eprintln!("[dist] worker {} exited cleanly", slot.idx);
+                        eprintln!("[dist] worker {idx} exited cleanly");
+                        continue;
                     }
-                    Ok(Some(status)) => {
-                        let code = status.code().map_or("killed by signal".to_string(), |c| {
-                            format!("exit code {c}")
-                        });
-                        fail_or_retry(
-                            slot,
-                            &format!("crashed ({code})"),
-                            budget,
-                            now,
-                            &self.jpath,
-                            &mut self.jstate,
-                        );
+                    Ok(Some(status)) => match status.code() {
+                        Some(c) => format!("crashed (exit code {c})"),
+                        None => "crashed (killed by signal)".to_string(),
+                    },
+                    Ok(None) => {
+                        slot.child = Some(child);
+                        continue;
                     }
-                    Ok(None) => slot.child = Some(child),
                     Err(e) => {
                         let _ = child.kill();
                         let _ = child.wait();
-                        fail_or_retry(
-                            slot,
-                            &format!("unwaitable ({e})"),
-                            budget,
-                            now,
-                            &self.jpath,
-                            &mut self.jstate,
-                        );
+                        format!("unwaitable ({e})")
                     }
                 },
-            }
+            };
+            self.fail_or_retry(idx, &why, now);
         }
     }
 
@@ -1280,9 +1202,7 @@ impl DistRunner {
                             st.conns[idx].wid,
                             stale.as_millis()
                         );
-                        let _ = st.conns[idx].stream.shutdown(Shutdown::Both);
-                        st.conns[idx].alive = false;
-                        lost_assignment(&mut st, idx);
+                        sever(&mut st, idx);
                         if let Some(slot) = st.conns[idx].slot {
                             kill_slots.push(slot);
                         }
@@ -1385,7 +1305,7 @@ impl DistRunner {
             let mut st = lock(&self.state);
             st.shutdown = true;
             for conn in st.conns.iter_mut().filter(|c| c.alive) {
-                let _ = write_frame(&mut &conn.stream, &f_shutdown());
+                let _ = write_frame(&mut &conn.stream, &frame("shutdown", Vec::new()));
             }
         }
         let grace_end = Instant::now() + Duration::from_millis(500);
@@ -1410,8 +1330,7 @@ impl DistRunner {
                 let _ = child.wait();
             }
         }
-        self.accept_stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr); // unblock the accept loop
+        self.accept_stop.set();
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
@@ -1452,6 +1371,7 @@ impl Drop for DistRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use automc_json::obj;
 
     fn round_with(units: &[usize]) -> Round {
         Round {
@@ -1522,29 +1442,35 @@ mod tests {
         assert!(err.get("payload").is_none());
     }
 
-    #[test]
-    fn lost_assignments_requeue_then_degrade() {
-        let mut st = SuperState {
-            conns: Vec::new(),
-            round: Some(round_with(&[0, 1])),
+    /// A supervisor state holding `round` and one connection on `stream`
+    /// (retries = 1, so a unit gets 2 attempts).
+    fn loopback_state(round: Round, stream: TcpStream, alive: bool) -> SuperState {
+        SuperState {
+            conns: vec![Conn {
+                stream,
+                alive,
+                wid: 0,
+                slot: None,
+                inflight: None,
+                last_frame: Instant::now(),
+            }],
+            round: Some(round),
             assigns: 0,
             net_sched: VecDeque::new(),
             next_remote_wid: 0,
-            budget: 1, // retries=1 → 2 attempts allowed
+            budget: 1,
             policy: SchedPolicy::Dynamic,
             static_workers: 1,
             shutdown: false,
-        };
+        }
+    }
+
+    #[test]
+    fn lost_assignments_requeue_then_degrade() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("conn");
-        st.conns.push(Conn {
-            stream,
-            alive: false,
-            wid: 0,
-            slot: None,
-            inflight: Some(0),
-            last_frame: Instant::now(),
-        });
+        let mut st = loopback_state(round_with(&[0, 1]), stream, false);
+        st.conns[0].inflight = Some(0);
         if let Some(r) = &mut st.round {
             r.attempts.insert(0, 1);
             r.pending.clear();
@@ -1566,5 +1492,113 @@ mod tests {
             .as_ref()
             .is_some_and(|r| r.resolved.get(&0) == Some(&None));
         assert!(degraded, "second loss exhausts the budget and degrades");
+    }
+
+    /// Everything a frame may change in the supervisor state.
+    fn digest(st: &SuperState) -> String {
+        let round = st.round.as_ref().map(|r| {
+            let mut resolved: Vec<_> = r.resolved.iter().collect();
+            resolved.sort_by_key(|(u, _)| **u);
+            let mut attempts: Vec<_> = r.attempts.iter().collect();
+            attempts.sort();
+            format!("{:?} {resolved:?} {attempts:?}", r.pending)
+        });
+        let conns: Vec<_> = st.conns.iter().map(|c| (c.alive, c.inflight)).collect();
+        format!("{round:?} {conns:?} {} {}", st.assigns, st.shutdown)
+    }
+
+    /// Seeded fuzzing of the supervisor's frame handling: mutated
+    /// `hello`/`pull`/`result`/`beat` frames (byte flips, truncation,
+    /// fields dropped or retyped), read back through the shared frame
+    /// reader and dispatched on a loopback supervisor state. Nothing may
+    /// panic; a malformed frame must leave the state untouched; and
+    /// whatever a well-formed frame does keeps the round consistent.
+    #[test]
+    fn fuzzed_worker_frames_never_corrupt_supervisor_state() {
+        use automc_json::wire::FrameReader;
+        use rand::Rng as _;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let worker = TcpStream::connect(listener.local_addr().expect("addr")).expect("conn");
+        let (supervisor_end, _) = listener.accept().expect("accept");
+        // Drain whatever the supervisor answers so its writes never block.
+        let drain = std::thread::spawn(move || std::io::copy(&mut &worker, &mut std::io::sink()));
+        let units = [0usize, 1, 2];
+        let experiment = "transport-fuzz";
+        let round = || Round { experiment: experiment.into(), ..round_with(&units) };
+        let hb = Heartbeat { worker: 0, pid: 1, seq: 2, eval: 3, tasks_done: 4, done: false };
+        let frames = [
+            f_hello(1, Some(0)),
+            frame("pull", Vec::new()),
+            frame("beat", vec![("hb", hb.to_json())]),
+            f_result(experiment, "smoke", 1, &Ok(obj(vec![("x", 1u64.to_json())]))),
+            f_result(experiment, "smoke", 2, &Err("boom".into())),
+        ];
+        let (mut ignored, mut handled) = (0, 0);
+        for case in 0..512u64 {
+            let mut rng = automc_tensor::rng_from_seed(0x53_000 + case);
+            let stream = supervisor_end.try_clone().expect("clone");
+            let mut st = loopback_state(round(), stream, true);
+            let mut v = frames[rng.gen_range(0..frames.len())].clone();
+            if rng.gen_range(0..3) == 0 {
+                // Structural mutation: drop or retype one field.
+                if let Value::Obj(fields) = &mut v {
+                    let at = rng.gen_range(0..fields.len());
+                    match rng.gen_range(0..3) {
+                        0 => {
+                            fields.remove(at);
+                        }
+                        1 => fields[at].1 = Value::Null,
+                        _ => fields[at].1 = 9u64.to_json(),
+                    }
+                }
+            }
+            let mut line = Vec::new();
+            write_frame(&mut line, &v).expect("serialise");
+            match rng.gen_range(0..3) {
+                0 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let at = rng.gen_range(0..line.len());
+                        line[at] ^= 1u8 << rng.gen_range(0..8);
+                    }
+                }
+                1 => line.truncate(rng.gen_range(0..line.len())),
+                _ => {}
+            }
+            let mut reader = FrameReader::new(std::io::BufReader::new(&line[..]));
+            while let Ok(Recv::Frame(frame)) = reader.recv() {
+                let ty = field::<String>(&frame, "type");
+                let well_formed = match ty.as_deref() {
+                    Some("pull") => true,
+                    Some("result") => {
+                        field::<String>(&frame, "experiment").is_some()
+                            && field::<String>(&frame, "scale").is_some()
+                            && field::<u64>(&frame, "unit").is_some()
+                            && (frame.get("payload").is_some()
+                                || field::<String>(&frame, "error").is_some())
+                    }
+                    _ => false,
+                };
+                let before = digest(&st);
+                let keep = handle_frame(&mut st, 0, &frame);
+                if well_formed {
+                    handled += 1;
+                } else {
+                    ignored += 1;
+                    assert!(keep, "case {case}: an ignored frame must not end the link");
+                    assert_eq!(digest(&st), before, "case {case}: {frame:?} changed the state");
+                }
+                let r = st.round.as_ref().expect("a frame never drops the round");
+                assert!(
+                    r.pending.iter().chain(r.resolved.keys()).all(|u| units.contains(u)),
+                    "case {case}: {frame:?} left a foreign unit in the round"
+                );
+            }
+        }
+        assert!(ignored > 0 && handled > 0, "{ignored} ignored, {handled} handled");
+        for u in units {
+            let _ = std::fs::remove_file(cache::cache_path(&unit_key(experiment, "smoke", 7, u)));
+        }
+        let _ = supervisor_end.shutdown(Shutdown::Both);
+        let _ = drain.join();
     }
 }

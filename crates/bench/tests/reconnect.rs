@@ -7,9 +7,8 @@
 //! re-enqueueing whatever a vanished worker held — is covered by the
 //! kill/hang/drop scenarios in `dist.rs`.)
 
-use automc_json::wire::{read_frame, write_frame};
+use automc_json::wire::{self, write_frame, Recv};
 use automc_json::{obj, ToJson, Value};
-use std::io::BufReader;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -118,14 +117,17 @@ fn completed_handshake_resets_the_give_up_counter() {
                 drop(stream); // no welcome: counts as a connection failure
                 continue;
             }
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            let hello = read_frame(&mut reader).expect("hello frame").expect("one frame");
+            let (mut reader, mut w) = wire::open(stream, 0).expect("open");
+            let mut next_frame = || match reader.recv().expect("frame") {
+                Recv::Frame(frame) => frame,
+                other => panic!("expected a frame, got {other:?}"),
+            };
+            let hello = next_frame();
             assert_eq!(
                 hello.get("type").and_then(Value::as_str),
                 Some("hello"),
                 "worker must open with a hello frame, got {hello:?}"
             );
-            let mut w = &stream;
             write_frame(&mut w, &obj(vec![
                 ("type", "welcome".to_json()),
                 ("worker", 7u64.to_json()),
@@ -134,7 +136,7 @@ fn completed_handshake_resets_the_give_up_counter() {
             // First request after the handshake is a pull; answer with
             // shutdown so the worker ends cleanly.
             loop {
-                let frame = read_frame(&mut reader).expect("frame").expect("frame");
+                let frame = next_frame();
                 if frame.get("type").and_then(Value::as_str) == Some("pull") {
                     break;
                 }

@@ -3,38 +3,26 @@
 //! the batch binaries print (so a served Table 2 run can be byte-diffed
 //! against `table2 --smoke`).
 
-use crate::protocol::{read_frame, write_frame, JobSpec, Request};
+use crate::protocol::{JobSpec, Request};
 use automc_bench::harness::FinalRow;
 use automc_bench::report::render_rows;
+use automc_json::wire::{self, write_frame, Recv};
 use automc_json::{FromJson, Value};
-use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 
 /// A blocking client connection to a serve daemon.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    reader: wire::Reader,
+    writer: TcpStream,
 }
 
 impl Client {
-    /// Connect to `addr` (`host:port`).
+    /// Connect to `addr` (`host:port`). The client sets no deadline: a
+    /// `watch` stream can legitimately sit quiet for a whole search
+    /// round, and the server reaps connections on its own deadline.
     pub fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        Ok(Client {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-        })
-    }
-
-    /// Apply a read/write deadline to the underlying socket (`0` clears
-    /// it). A `watch` stream can legitimately sit quiet for a full
-    /// search round, so when watching pick a deadline generously above
-    /// the expected round time — or leave the client blocking and rely
-    /// on the server's own reaping.
-    pub fn set_io_timeout(&mut self, ms: u64) -> std::io::Result<()> {
-        let dt = (ms > 0).then(|| std::time::Duration::from_millis(ms));
-        self.reader.get_ref().set_read_timeout(dt)?;
-        self.writer.get_ref().set_write_timeout(dt)
+        let (reader, writer) = wire::open(TcpStream::connect(addr)?, 0)?;
+        Ok(Client { reader, writer })
     }
 
     /// Send one request frame.
@@ -45,8 +33,11 @@ impl Client {
     /// Receive one frame; EOF is an error (the server never half-closes
     /// before answering a request).
     pub fn recv(&mut self) -> std::io::Result<Value> {
-        read_frame(&mut self.reader)?
-            .ok_or_else(|| std::io::Error::other("server closed the connection"))
+        match self.reader.recv()? {
+            Recv::Frame(frame) => Ok(frame),
+            Recv::Closed => Err(std::io::Error::other("server closed the connection")),
+            Recv::Timeout(stall) => Err(std::io::Error::other(format!("server {stall}"))),
+        }
     }
 
     /// Submit a job; returns `(job_id, deduplicated)`.

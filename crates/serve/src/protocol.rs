@@ -1,12 +1,5 @@
-//! The `automc-json` wire protocol: newline-delimited frames.
-//!
-//! Every frame is one JSON object on one line. Serialisation is *strict*
-//! ([`Value::to_wire`]): a non-finite number anywhere in a frame is a
-//! serialisation error, never a silent `null`. Parsing is strict too
-//! ([`automc_json::with_strict`]): a `null` where a number is expected is
-//! a malformed frame, never a NaN. The on-disk caches keep the lenient
-//! mode; the wire does not, because a NaN that round-trips into a
-//! streamed accuracy corrupts every downstream consumer silently.
+//! The serve request and job vocabulary, spoken over the strict
+//! newline-delimited frames of [`automc_json::wire`].
 //!
 //! Client → server requests: `submit`, `watch`, `status`, `cancel`,
 //! `result`, `shutdown`. Server → client frames: `submitted`, `state`,
@@ -16,14 +9,6 @@
 //! the bounded queue full, carrying a `retry_ms` hint.
 
 use automc_json::{field, obj, FromJson, ToJson, Value};
-
-// The framing layer lives in `automc_json::wire` so the distributed bench
-// supervisor can share it without depending on this crate; re-exported
-// here so serve-side code keeps its historical import paths.
-pub use automc_json::wire::{
-    busy_frame, decode_strict, error_frame, is_timeout, ok_frame, read_frame, write_frame,
-    FrameReader, MAX_FRAME_BYTES,
-};
 
 /// What a job computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,16 +277,84 @@ mod tests {
         assert_eq!(a1.len(), 16);
     }
 
+    /// SplitMix64: the std-only generator behind the seeded fuzz loop.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
+        }
+    }
+
+    /// Seeded fuzzing of the request parser: valid request frames with
+    /// byte flips, truncation, and fields dropped or retyped, read back
+    /// through the shared frame reader. Nothing may panic, and a frame is
+    /// either refused with an `Err` or decodes to a request that encodes
+    /// back to the same request — never to a half-read one.
     #[test]
-    fn framing_is_reexported_from_automc_json() {
-        // The frame I/O behaviour itself is tested in `automc_json::wire`;
-        // here we only pin that the historical import paths still resolve
-        // to the shared implementation.
-        let mut buf: Vec<u8> = Vec::new();
-        write_frame(&mut buf, &ok_frame()).expect("write");
-        let mut r = std::io::BufReader::new(&buf[..]);
-        let back = read_frame(&mut r).expect("read").expect("one frame");
-        assert_eq!(back, ok_frame());
-        assert_eq!(MAX_FRAME_BYTES, automc_json::wire::MAX_FRAME_BYTES);
+    fn fuzzed_request_frames_decode_or_fail_cleanly() {
+        use automc_json::wire::{write_frame, FrameReader, Recv};
+        let spec = JobSpec {
+            scale: "smoke".into(),
+            seed: 7,
+            kind: JobKind::Table2,
+            fresh: false,
+            label: "a".into(),
+        };
+        let reqs = [
+            Request::Submit(spec),
+            Request::Watch("00ff".into()),
+            Request::Cancel("00ff".into()),
+            Request::Shutdown,
+        ];
+        let (mut refused, mut decoded) = (0, 0);
+        for case in 0..512u64 {
+            let mut rng = Rng(0x52_000 + case);
+            let mut v = reqs[rng.below(reqs.len())].to_value();
+            if rng.below(3) == 0 {
+                // Structural mutation: drop or retype one field.
+                if let Value::Obj(fields) = &mut v {
+                    let at = rng.below(fields.len());
+                    match rng.below(3) {
+                        0 => {
+                            fields.remove(at);
+                        }
+                        1 => fields[at].1 = Value::Null,
+                        _ => fields[at].1 = 3u64.to_json(),
+                    }
+                }
+            }
+            let mut line = Vec::new();
+            write_frame(&mut line, &v).expect("serialise");
+            match rng.below(3) {
+                0 => {
+                    for _ in 0..1 + rng.below(3) {
+                        let at = rng.below(line.len());
+                        line[at] ^= 1 << rng.below(8);
+                    }
+                }
+                1 => line.truncate(rng.below(line.len())),
+                _ => {}
+            }
+            let mut reader = FrameReader::new(std::io::BufReader::new(&line[..]));
+            while let Ok(Recv::Frame(frame)) = reader.recv() {
+                match Request::from_value(&frame) {
+                    Ok(req) => {
+                        decoded += 1;
+                        let again = Request::from_value(&req.to_value());
+                        assert_eq!(again.as_ref(), Ok(&req), "case {case}: {frame:?}");
+                    }
+                    Err(why) => {
+                        refused += 1;
+                        assert!(!why.is_empty(), "case {case}");
+                    }
+                }
+            }
+        }
+        assert!(refused > 0 && decoded > 0, "{refused} refused, {decoded} decoded");
     }
 }

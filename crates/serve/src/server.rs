@@ -5,9 +5,12 @@
 //! (`table2_rows_with` / `run_search_with`), which fans work out over the
 //! shared `automc_tensor::par` pool; all jobs share one result cache, one
 //! memo LRU, and one spill `BlobStore`, so concurrent searches
-//! deduplicate prefix models across clients. Every connection gets its
-//! own thread; a `watch` replays the job's frame log and then streams
-//! live events from a per-job fan-out of `mpsc` senders.
+//! deduplicate prefix models across clients. Connections come through
+//! the shared connection layer ([`automc_json::wire::accept_loop`]): one
+//! thread each, `TCP_NODELAY`, and the `--io-timeout-ms` deadline, past
+//! which an idle or stalled-mid-frame connection is reaped with a
+//! farewell `error` frame. A `watch` replays the job's frame log and then
+//! streams live events from a per-job fan-out of `mpsc` senders.
 //!
 //! Failure model: job caches and round journals are crash-safe (written
 //! by the layers below), so the daemon itself holds no durable state —
@@ -15,10 +18,7 @@
 //! resumes from the journals because the job id is derived from the same
 //! fingerprint material that keys them.
 
-use crate::protocol::{
-    busy_frame, error_frame, is_timeout, ok_frame, write_frame, FrameReader, JobKind, JobSpec,
-    JobState, Request,
-};
+use crate::protocol::{JobKind, JobSpec, JobState, Request};
 use automc_bench::harness::{self, RunOpts};
 use automc_bench::scale::ExperimentScale;
 use automc_bench::{cache, orchestrator};
@@ -27,14 +27,17 @@ use automc_compress::StrategySpace;
 use automc_core::journal;
 use automc_core::progress::{RoundControl, RoundEvent, RoundObserver};
 use automc_core::RoundHook;
+use automc_json::wire::{
+    self, busy_frame, error_frame, frame, lock, ok_frame, write_frame, Recv, Stop,
+};
 use automc_json::{obj, ToJson, Value};
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default for [`ServeConfig::queue_cap`]: jobs waiting in the bounded
@@ -86,13 +89,6 @@ impl Default for ServeConfig {
             queue_cap: QUEUE_CAP,
         }
     }
-}
-
-/// Lock a mutex, riding through poisoning: a panicking job thread must
-/// not wedge the whole daemon (the registry holds only small state whose
-/// invariants are per-field).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One submitted job.
@@ -154,16 +150,14 @@ impl Job {
         inner.log.push(frame);
     }
 
+    /// The job's current `state` frame.
+    fn state_frame(&self) -> Value {
+        frame("state", vec![("job", self.id.to_json()), ("state", self.state().name().to_json())])
+    }
+
     fn set_state(&self, state: JobState) {
-        {
-            let mut inner = lock(&self.inner);
-            inner.state = state;
-        }
-        self.publish(obj(vec![
-            ("type", "state".to_json()),
-            ("job", self.id.to_json()),
-            ("state", state.name().to_json()),
-        ]));
+        lock(&self.inner).state = state;
+        self.publish(self.state_frame());
     }
 
     /// Publish the terminal `done` frame and stop accepting transitions.
@@ -194,7 +188,8 @@ struct Shared {
     queue_cap: usize,
     /// Per-connection socket deadline (0 = none).
     io_timeout_ms: u64,
-    shutdown: AtomicBool,
+    /// Set by a `shutdown` request; ends the accept loop.
+    stop: Stop,
 }
 
 /// Run the daemon until a `shutdown` request arrives, then drain: stop
@@ -218,7 +213,7 @@ pub fn run(cfg: &ServeConfig) -> std::io::Result<()> {
         queue: Mutex::new(Some(tx)),
         queue_cap: cfg.queue_cap.max(1),
         io_timeout_ms: cfg.io_timeout_ms,
-        shutdown: AtomicBool::new(false),
+        stop: Stop::new(addr),
     });
 
     let rx = Arc::new(Mutex::new(rx));
@@ -232,29 +227,12 @@ pub fn run(cfg: &ServeConfig) -> std::io::Result<()> {
         );
     }
 
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+    let conn_shared = Arc::clone(&shared);
+    wire::accept_loop(&listener, &shared.stop, cfg.io_timeout_ms, "serve", move |r, w| {
+        if let Err(e) = handle_connection(&conn_shared, r, w) {
+            eprintln!("[serve] connection ended: {e}");
         }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("[serve] accept failed: {e}");
-                continue;
-            }
-        };
-        let shared = Arc::clone(&shared);
-        let addr_for_unblock = addr;
-        std::thread::Builder::new().name("serve-conn".into()).spawn(move || {
-            if let Err(e) = handle_connection(&shared, stream) {
-                eprintln!("[serve] connection ended: {e}");
-            }
-            if shared.shutdown.load(Ordering::SeqCst) {
-                // Unblock the accept loop so it observes the flag.
-                let _ = TcpStream::connect(addr_for_unblock);
-            }
-        })?;
-    }
+    });
     drop(listener);
     drain(&shared, executors);
     Ok(())
@@ -465,47 +443,37 @@ fn job_result(job: &Arc<Job>, opts: &RunOpts) -> Option<Value> {
 // Connections
 // ------------------------------------------------------------------------
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
-    let peer = stream
+fn handle_connection(
+    shared: &Arc<Shared>,
+    mut reader: wire::Reader,
+    mut writer: TcpStream,
+) -> std::io::Result<()> {
+    let peer = writer
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "<unknown>".into());
-    if shared.io_timeout_ms > 0 {
-        // Deadline every blocking socket op on this connection: a peer
-        // that stops reading (stuck watch) or stops writing (stalled
-        // mid-frame, idle forever) surfaces as a timeout instead of
-        // pinning this thread for the life of the daemon.
-        let dt = Duration::from_millis(shared.io_timeout_ms);
-        stream.set_read_timeout(Some(dt))?;
-        stream.set_write_timeout(Some(dt))?;
-    }
-    let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?));
-    let mut writer = BufWriter::new(stream);
     loop {
-        let frame = match reader.read_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(()),
-            Err(e) if is_timeout(&e) => {
-                // Reap rather than wait forever. A partial buffer means
-                // the peer stalled mid-frame (it will never complete);
-                // an empty one means it simply went idle between
-                // requests. Either way the slot is reclaimed; the
-                // farewell frame is best-effort — the peer may be gone.
-                let why = if reader.has_partial() { "stalled mid-frame" } else { "idle" };
+        let frame = match reader.recv()? {
+            Recv::Frame(frame) => frame,
+            Recv::Closed => return Ok(()),
+            Recv::Timeout(stall) => {
+                // Reap rather than wait forever: a peer stalled mid-frame
+                // will never complete it, and an idle one is holding a
+                // thread for nothing. The farewell frame is best-effort —
+                // the peer may be gone.
                 eprintln!(
-                    "[serve] reaping connection from {peer}: {why} for {} ms",
+                    "[serve] reaping connection from {peer}: {stall} for {} ms",
                     shared.io_timeout_ms
                 );
                 let _ = write_frame(
                     &mut writer,
                     &error_frame(&format!(
-                        "connection reaped: {why} for {} ms",
+                        "connection reaped: {stall} for {} ms",
                         shared.io_timeout_ms
                     )),
                 );
                 return Ok(());
             }
-            Err(e) => return Err(e),
         };
         let req = match Request::from_value(&frame) {
             Ok(req) => req,
@@ -521,14 +489,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
                 None => write_frame(&mut writer, &error_frame("unknown job"))?,
             },
             Request::Status(id) => match find_job(shared, &id) {
-                Some(job) => write_frame(
-                    &mut writer,
-                    &obj(vec![
-                        ("type", "state".to_json()),
-                        ("job", job.id.to_json()),
-                        ("state", job.state().name().to_json()),
-                    ]),
-                )?,
+                Some(job) => write_frame(&mut writer, &job.state_frame())?,
                 None => write_frame(&mut writer, &error_frame("unknown job"))?,
             },
             Request::Cancel(id) => match find_job(shared, &id) {
@@ -555,10 +516,11 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
                 None => write_frame(&mut writer, &error_frame("unknown job"))?,
             },
             Request::Shutdown => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                write_frame(&mut writer, &ok_frame())?;
-                writer.flush()?;
-                return Ok(());
+                // Answer before waking the accept loop: the drain it starts
+                // may end the process.
+                let answered = write_frame(&mut writer, &ok_frame());
+                shared.stop.set();
+                return answered;
             }
         }
     }

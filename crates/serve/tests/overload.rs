@@ -29,13 +29,24 @@ const KNOBS_TINY: [(&str, &str); 4] = [
     ("AUTOMC_SMOKE_BUDGET", "150"),
 ];
 
-/// Heavy evaluations: each search round takes seconds, so queue and
-/// drain races always land mid-run.
+/// Heavy evaluations: each search round takes seconds, so a job stays
+/// running while the queue test fills the queue behind it.
 const KNOBS_SLOW: [(&str, &str); 4] = [
     ("AUTOMC_SMOKE_TRAIN", "1024"),
     ("AUTOMC_SMOKE_TEST", "64"),
     ("AUTOMC_SMOKE_EPOCHS", "8"),
     ("AUTOMC_SMOKE_BUDGET", "8000"),
+];
+
+/// `KNOBS_SLOW`'s evaluations with a budget that covers several of them
+/// (one Random evaluation at this training size costs about 8 000
+/// units): the drain must land mid-search, not after a search that
+/// exhausted its budget in its first round.
+const KNOBS_DRAIN: [(&str, &str); 4] = [
+    ("AUTOMC_SMOKE_TRAIN", "1024"),
+    ("AUTOMC_SMOKE_TEST", "64"),
+    ("AUTOMC_SMOKE_EPOCHS", "8"),
+    ("AUTOMC_SMOKE_BUDGET", "40000"),
 ];
 
 struct Server {
@@ -235,7 +246,7 @@ fn shutdown_drains_gracefully_and_a_restart_resumes_the_work() {
     let algo = JobKind::Search(automc_bench::harness::Algo::Random);
     let job_spec = spec(algo, 17, true, "");
 
-    let mut server = start_server(&dir, "one", &KNOBS_SLOW, &[], None, None);
+    let mut server = start_server(&dir, "one", &KNOBS_DRAIN, &[], None, None);
     let mut client = Client::connect(&server.addr).expect("connect");
     let (job, _) = client.submit(&job_spec).expect("submit");
     // Order the shutdown as soon as the first round frame proves the job
@@ -282,7 +293,7 @@ fn shutdown_drains_gracefully_and_a_restart_resumes_the_work() {
     );
 
     // …so a restarted daemon resumes it and matches an uninterrupted run.
-    let server2 = start_server(&dir, "two", &KNOBS_SLOW, &[], None, None);
+    let server2 = start_server(&dir, "two", &KNOBS_DRAIN, &[], None, None);
     let resumed = run_to_done(&server2.addr, &job_spec);
     assert_eq!(state_of(&resumed), "done", "terminal: {resumed:?}");
     let log2 = server2.log_text();
