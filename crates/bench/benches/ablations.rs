@@ -1,12 +1,8 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//!
-//! 1. **Prefix caching** — AutoMC extends a cached compressed model by one
-//!    strategy; non-progressive searchers re-execute the whole scheme.
-//!    These two benches measure the same logical evaluation both ways.
-//! 2. **Quantization extension** — cost of post-training quantization vs
-//!    quantization-aware tuning (the C7 future-work family).
+//! Ablation bench for the design choice DESIGN.md calls out: **prefix
+//! caching** — AutoMC extends a cached compressed model by one strategy;
+//! non-progressive searchers re-execute the whole scheme. The two benches
+//! measure the same logical evaluation both ways.
 
-use automc_compress::quant::{apply_quant, QuantSpec};
 use automc_compress::{
     apply_strategy, execute_scheme, ExecConfig, Metrics, MethodId, StrategySpace,
 };
@@ -86,41 +82,5 @@ fn bench_prefix_cache(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_quantization(c: &mut Criterion) {
-    let (base, train_set, _) = fixture();
-    let exec = ExecConfig { pretrain_epochs: 1.0, ..Default::default() };
-    let mut group = c.benchmark_group("quantization_extension");
-    group.sample_size(10);
-    for bits in [2u32, 8] {
-        group.bench_function(format!("ptq_{bits}bit"), |b| {
-            b.iter(|| {
-                let mut rng = rng_from_seed(43);
-                let mut model = base.clone_net();
-                black_box(apply_quant(
-                    &QuantSpec { bits, qat_epochs: 0.0 },
-                    &mut model,
-                    &train_set,
-                    &exec,
-                    &mut rng,
-                ))
-            })
-        });
-    }
-    group.bench_function("qat_2bit", |b| {
-        b.iter(|| {
-            let mut rng = rng_from_seed(44);
-            let mut model = base.clone_net();
-            black_box(apply_quant(
-                &QuantSpec { bits: 2, qat_epochs: 1.0 },
-                &mut model,
-                &train_set,
-                &exec,
-                &mut rng,
-            ))
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(ablations, bench_prefix_cache, bench_quantization);
+criterion_group!(ablations, bench_prefix_cache);
 criterion_main!(ablations);

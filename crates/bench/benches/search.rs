@@ -5,7 +5,8 @@
 use automc_compress::{ExecConfig, Metrics, MethodId, StrategySpace};
 use automc_core::pareto;
 use automc_core::{
-    progressive_search, random_search, AutoMcConfig, Fmo, SearchBudget, SearchContext,
+    progressive_search, random_search, AutoMcConfig, Fmo, JournalOptions, SearchBudget,
+    SearchContext,
 };
 use automc_data::{DatasetSpec, SyntheticKind};
 use automc_knowledge::{KnowledgeGraph, TransR, TransRConfig};
@@ -88,7 +89,8 @@ fn bench_search_micro(c: &mut Criterion) {
             };
             let emb: Vec<Vec<f32>> =
                 (0..space.len()).map(|i| vec![space.spec(i).ratio(), 0.5]).collect();
-            black_box(progressive_search(&ctx, emb, &AutoMcConfig::default(), &mut rng))
+            let cfg = AutoMcConfig::default();
+            black_box(progressive_search(&ctx, emb, &cfg, &mut rng, &JournalOptions::default()))
         })
     });
     group.bench_function("random", |b| {
@@ -105,7 +107,7 @@ fn bench_search_micro(c: &mut Criterion) {
                 gamma: 0.1,
                 budget: SearchBudget::new(800),
             };
-            black_box(random_search(&ctx, &mut rng))
+            black_box(random_search(&ctx, &mut rng, &JournalOptions::default()))
         })
     });
     group.finish();

@@ -8,8 +8,8 @@
 
 use automc_compress::{memo, ExecConfig, Metrics, MethodId, StrategySpace};
 use automc_core::{
-    evolution_search, rl_search, EvolutionConfig, RlConfig, SearchBudget, SearchContext,
-    SearchHistory,
+    evolution_search, rl_search, EvolutionConfig, JournalOptions, RlConfig, SearchBudget,
+    SearchContext, SearchHistory,
 };
 use automc_data::{DatasetSpec, ImageSet, SyntheticKind};
 use automc_json::{obj, ToJson, Value};
@@ -69,9 +69,10 @@ fn run_algo(fx: &Fixture, algo: &str) -> SearchHistory {
         budget: SearchBudget::new(fx.budget),
     };
     let mut rng = rng_from_seed(62);
+    let none = JournalOptions::default();
     match algo {
-        "Evolution" => evolution_search(&ctx, &EvolutionConfig::default(), &mut rng),
-        "RL" => rl_search(&ctx, &RlConfig::default(), &mut rng),
+        "Evolution" => evolution_search(&ctx, &EvolutionConfig::default(), &mut rng, &none),
+        "RL" => rl_search(&ctx, &RlConfig::default(), &mut rng, &none),
         other => unreachable!("unknown algo {other}"),
     }
 }

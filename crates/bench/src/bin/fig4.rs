@@ -4,43 +4,25 @@
 //!
 //! Run: `cargo run --release -p automc-bench --bin fig4 [--seed N] [--fresh]`
 //!
-//! `--workers N` / `--listen ADDR` distribute the four searches per
-//! experiment over the TCP task queue; `--connect ADDR` runs as a remote
-//! worker.
+//! The four searches per experiment run as task units on the in-process
+//! pool, or with `--workers N` / `--listen ADDR` over the TCP task
+//! queue; `--connect ADDR` runs as a remote worker.
 
-use automc_bench::harness::{automc_embeddings, run_search_with, Algo, RunOpts};
+use automc_bench::harness::Algo;
+use automc_bench::orchestrator::fetch_searches;
 use automc_bench::report::{render_front, render_series};
-use automc_bench::scale::{exp1, exp2, prepare_task};
-use automc_bench::{orchestrator, parse_args, transport};
-use automc_compress::StrategySpace;
-use automc_core::SearchHistory;
+use automc_bench::scale::{exp1, exp2};
+use automc_bench::{parse_args, transport};
 
 fn main() {
     let args = parse_args();
     let mut runner = transport::fleet(&args);
     let (seed, fresh) = (args.seed, args.fresh);
     println!("Figure 4 reproduction (seed {seed})");
-    let space = StrategySpace::full();
     for exp in [exp1(), exp2()] {
         println!("\n### {} ###", exp.name);
-        let histories: Vec<Option<SearchHistory>> = match runner.as_mut() {
-            Some(r) => {
-                let units: Vec<usize> = (0..Algo::ALL.len()).collect();
-                orchestrator::fetch_searches(r, &exp, seed, fresh, &units)
-            }
-            None => {
-                let task = prepare_task(&exp, seed);
-                let emb = automc_embeddings(&space, "full", seed, false, true, true);
-                Algo::ALL
-                    .iter()
-                    .map(|&algo| {
-                        let opts = RunOpts::default();
-                        let emb = Some(emb.as_slice());
-                        run_search_with(algo, &task, &space, emb, seed, fresh, exp.name, &opts)
-                    })
-                    .collect()
-            }
-        };
+        let units: Vec<usize> = (0..Algo::ALL.len()).collect();
+        let histories = fetch_searches(runner.as_mut(), &exp, seed, fresh, &units);
         for (algo, history) in Algo::ALL.iter().zip(&histories) {
             let Some(history) = history else {
                 println!("{}: unavailable (search degraded)", algo.name());
@@ -67,7 +49,5 @@ fn main() {
             print!("{}", render_front(algo.name(), &front));
         }
     }
-    if let Some(mut r) = runner {
-        r.shutdown();
-    }
+    runner.shutdown();
 }

@@ -10,20 +10,16 @@
 //!
 //! Run: `cargo run --release -p automc-bench --bin fig5 [--seed N] [--fresh]`
 //!
-//! `--workers N` / `--listen ADDR` distribute the three ablation
-//! searches (and any missing baseline searches) over the TCP task queue;
-//! `--connect ADDR` runs as a remote worker.
+//! The three ablation searches (and any missing baseline searches) run
+//! as task units on the in-process pool, or with `--workers N` /
+//! `--listen ADDR` over the TCP task queue; `--connect ADDR` runs as a
+//! remote worker.
 
-use automc_bench::harness::{
-    automc_embeddings, fig5_variant, run_search_with, Algo, RunOpts, UnitCtx, FIG5_VARIANTS,
-};
+use automc_bench::orchestrator::{fetch_fig5, fetch_searches};
 use automc_bench::report::render_front;
 use automc_bench::scale::{exp1, exp2, ExperimentScale};
-use automc_bench::transport::DistRunner;
-use automc_bench::{orchestrator, parse_args, transport};
-use automc_compress::StrategySpace;
+use automc_bench::{parse_args, transport};
 use automc_core::SearchHistory;
-use automc_json::{field, Value};
 
 fn front_of(history: &SearchHistory, gamma: f32) -> Vec<(f32, f32)> {
     history
@@ -41,8 +37,6 @@ fn main() {
     let mut runner = transport::fleet(&args);
     let (seed, fresh) = (args.seed, args.fresh);
     println!("Figure 5 reproduction (seed {seed})");
-    let full_space = StrategySpace::full();
-    let mut ctx = UnitCtx::new();
 
     // Exp1 by default; pass --both to add Exp2 (its ablation searches are
     // the most expensive runs in the whole reproduction).
@@ -52,21 +46,12 @@ fn main() {
         println!("\n### {} ###", exp.name);
 
         // AutoMC and RL baselines — reuse the Table 2 runs when cached.
-        let (automc, rl) = baselines(&exp, &full_space, seed, runner.as_mut(), &mut ctx);
+        let mut baselines = fetch_searches(runner.as_mut(), &exp, seed, false, &[0, 2]);
+        let rl = baselines.pop().flatten();
+        let automc = baselines.pop().flatten();
 
         // The three ablation variants, each its own task unit.
-        let variants: Vec<Option<SearchHistory>> = match runner.as_mut() {
-            Some(r) => {
-                let units: Vec<usize> = (0..FIG5_VARIANTS.len()).collect();
-                r.run_units("fig5", &exp, seed, fresh, &units, &Value::Null)
-                    .into_iter()
-                    .map(|payload| payload.and_then(|p| field(&p, "history")))
-                    .collect()
-            }
-            None => (0..FIG5_VARIANTS.len())
-                .map(|idx| fig5_variant(&mut ctx, &exp, idx, seed, fresh).ok())
-                .collect(),
-        };
+        let variants = fetch_fig5(runner.as_mut(), &exp, seed, fresh);
 
         render("AutoMC", automc.as_ref(), &exp);
         render("AutoMC-KG", variants[0].as_ref(), &exp);
@@ -74,37 +59,7 @@ fn main() {
         render("AutoMC-MultipleSource", variants[2].as_ref(), &exp);
         render("AutoMC-ProgressiveSearch", rl.as_ref(), &exp);
     }
-    if let Some(mut r) = runner {
-        r.shutdown();
-    }
-}
-
-/// The full-AutoMC and RL-controller baselines (shared with Table 2 /
-/// Figure 4): pulled through the task queue in a distributed run,
-/// computed in-process otherwise.
-fn baselines(
-    exp: &ExperimentScale,
-    space: &StrategySpace,
-    seed: u64,
-    runner: Option<&mut DistRunner>,
-    ctx: &mut UnitCtx,
-) -> (Option<SearchHistory>, Option<SearchHistory>) {
-    match runner {
-        Some(r) => {
-            let mut hs = orchestrator::fetch_searches(r, exp, seed, false, &[0, 2]);
-            let rl = hs.pop().flatten();
-            (hs.pop().flatten(), rl)
-        }
-        None => {
-            let emb = automc_embeddings(space, "full", seed, false, true, true);
-            let task = ctx.task_for(exp, exp.model, seed);
-            let (opts, emb) = (RunOpts::default(), Some(emb.as_slice()));
-            let automc =
-                run_search_with(Algo::AutoMc, task, space, emb, seed, false, exp.name, &opts);
-            let rl = run_search_with(Algo::Rl, task, space, None, seed, false, exp.name, &opts);
-            (automc, rl)
-        }
-    }
+    runner.shutdown();
 }
 
 /// Print one labelled Pareto front; a curve whose search degraded away

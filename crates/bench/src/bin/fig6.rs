@@ -4,18 +4,15 @@
 //!
 //! Run: `cargo run --release -p automc-bench --bin fig6 [--seed N]`
 //!
-//! `--workers N` / `--listen ADDR` pull any missing AutoMC searches
-//! through the distributed task queue; `--connect ADDR` runs as a remote
-//! worker.
+//! A missing AutoMC search runs as a task unit on the in-process pool,
+//! or with `--workers N` / `--listen ADDR` through the distributed task
+//! queue; `--connect ADDR` runs as a remote worker.
 
-use automc_bench::harness::{
-    automc_embeddings, best_scheme_in_band, run_search_with, Algo, RunOpts,
-};
-use automc_bench::scale::prepare_task;
+use automc_bench::harness::best_scheme_in_band;
+use automc_bench::orchestrator::fetch_searches;
 use automc_bench::scale::{exp1, exp2};
-use automc_bench::{orchestrator, parse_args, transport};
+use automc_bench::{parse_args, transport};
 use automc_compress::StrategySpace;
-use automc_core::SearchHistory;
 
 fn main() {
     let args = parse_args();
@@ -24,18 +21,8 @@ fn main() {
     println!("Figure 6 reproduction (seed {seed}) — AutoMC's searched schemes\n");
     let space = StrategySpace::full();
     for exp in [exp1(), exp2()] {
-        let history: Option<SearchHistory> = match runner.as_mut() {
-            Some(r) => orchestrator::fetch_searches(r, &exp, seed, false, &[0])
-                .into_iter()
-                .next()
-                .flatten(),
-            None => {
-                let task = prepare_task(&exp, seed);
-                let emb = automc_embeddings(&space, "full", seed, false, true, true);
-                let (opts, emb) = (RunOpts::default(), Some(emb.as_slice()));
-                run_search_with(Algo::AutoMc, &task, &space, emb, seed, false, exp.name, &opts)
-            }
-        };
+        let history =
+            fetch_searches(runner.as_mut(), &exp, seed, false, &[0]).into_iter().next().flatten();
         println!("### {} ({}) ###", exp.name, exp.model);
         let Some(history) = history else {
             println!("  (search degraded — no scheme available)\n");
@@ -56,7 +43,5 @@ fn main() {
         // total fine-tuning epochs are comparable across schemes.
         println!("  (+ make-up fine-tuning appended at execution time)\n");
     }
-    if let Some(mut r) = runner {
-        r.shutdown();
-    }
+    runner.shutdown();
 }

@@ -5,23 +5,25 @@
 //!
 //! Run: `cargo run --release -p automc-bench --bin table2 [--seed N] [--fresh]`
 //!
-//! `--workers N` distributes the grid over N supervised worker processes
-//! pulling from a dynamic task queue over TCP (heartbeats, hang
-//! detection, retry/backoff, graceful degradation — see
-//! `automc_bench::transport`); the merged report is byte-identical to
-//! the in-process run. `--listen ADDR` additionally (or instead) accepts
-//! remote workers started with `table2 --connect ADDR`.
+//! The table runs as 17 task units (`automc_bench::runner`): on the
+//! in-process thread pool by default, or with `--workers N` on N
+//! supervised worker processes pulling from a dynamic task queue over
+//! TCP (heartbeats, hang detection, retry/backoff, graceful degradation
+//! — see `automc_bench::transport`). One merge assembles the report
+//! either way, so it is byte-identical. `--listen ADDR` additionally (or
+//! instead) accepts remote workers started with `table2 --connect ADDR`.
 //!
 //! `--smoke` runs the same pipeline at the smallest scale and prints
 //! `SMOKE OK` on a structurally valid result — the CI fault-injection
 //! stage runs this under a seeded `AUTOMC_FAULTS` plan and requires the
 //! run to complete (degraded where faults hit, but valid).
 
-use automc_bench::harness::{run_fingerprint, table2_rows};
+use automc_bench::harness::run_fingerprint;
+use automc_bench::orchestrator::{self, fetch_table2, Table2};
 use automc_bench::report::render_rows;
+use automc_bench::runner::Runner;
 use automc_bench::scale::{exp1, exp2, smoke, ExperimentScale};
-use automc_bench::transport::DistRunner;
-use automc_bench::{cache, orchestrator, parse_args, transport, BenchArgs};
+use automc_bench::{cache, parse_args, transport, BenchArgs};
 use automc_core::SearchHistory;
 
 fn main() {
@@ -42,29 +44,19 @@ fn main() {
             println!("{}", render_rows(&format!("{label} — PR ≈ 70%"), &band70));
         }
     }
-    if let Some(mut r) = runner {
-        r.shutdown();
-    }
+    runner.shutdown();
 }
 
-/// In-process pool (the default) or the distributed task queue
-/// (`--workers N` / `--listen ADDR`) — identical results either way.
-fn rows_for(
-    exp: &ExperimentScale,
-    args: &BenchArgs,
-    runner: Option<&mut DistRunner>,
-) -> (Vec<automc_bench::harness::FinalRow>, Vec<automc_bench::harness::FinalRow>) {
-    match runner {
-        Some(r) => orchestrator::table2_rows_dist(r, exp, args),
-        None => table2_rows(exp, args.seed, args.fresh),
-    }
+fn rows_for(exp: &ExperimentScale, args: &BenchArgs, runner: &mut dyn Runner) -> Table2 {
+    // Only a serve job's hook cancels; the binary's runner never does.
+    fetch_table2(runner, exp, args.seed, args.fresh).unwrap_or_default()
 }
 
 /// The smallest end-to-end run: the full Table 2 pipeline on the smoke
 /// scale, with structural validation. Prints `SMOKE OK` only if every
 /// expected row is present — faulted evaluations may degrade individual
 /// rows, but the table itself must always be produced.
-fn run_smoke(args: &BenchArgs, runner: Option<&mut DistRunner>) {
+fn run_smoke(args: &BenchArgs, runner: &mut dyn Runner) {
     let seed = args.seed;
     let exp = smoke();
     println!("Table 2 smoke run (seed {seed}, scale {})", exp.name);
@@ -82,10 +74,11 @@ fn run_smoke(args: &BenchArgs, runner: Option<&mut DistRunner>) {
         std::process::exit(1);
     }
 
-    // Report how the supervision layer handled faulted evaluations. A
-    // distributed run streams the counters back with the unit payloads;
-    // otherwise scan the search histories, looking across every worker
-    // sub-store since each history lives in its owning worker's cache.
+    // Report how the supervision layer handled faulted evaluations. The
+    // merge stores the counters its units streamed back; a table cached
+    // without them falls back to scanning the search histories, looking
+    // across every worker sub-store since a history lives in its owning
+    // worker's cache.
     let fp = run_fingerprint(&exp, seed);
     let counts: Option<(usize, usize)> =
         cache::load(&orchestrator::table2_counts_key(exp.name, seed), &fp);

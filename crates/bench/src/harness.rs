@@ -1,16 +1,15 @@
 //! Experiment orchestration shared by the reproduction binaries.
 
 use crate::cache;
-use crate::scale::{prepare_task, ExperimentScale, PreparedTask};
+use crate::scale::{ExperimentScale, PreparedTask};
 use automc_compress::{
     execute_scheme_checked, EvalOutcome, ExecConfig, Metrics, MethodId, Scheme, StrategySpace,
     StrategySpec,
 };
 use automc_core::journal;
 use automc_core::{
-    evolution_search_journaled, progressive_search_journaled, random_search_journaled,
-    rl_search_journaled, AutoMcConfig, EvolutionConfig, JournalOptions, RlConfig, SearchBudget,
-    SearchContext, SearchHistory,
+    evolution_search, progressive_search, random_search, rl_search, AutoMcConfig,
+    EvolutionConfig, JournalOptions, RlConfig, SearchBudget, SearchContext, SearchHistory,
 };
 use automc_data::ImageSet;
 use automc_knowledge::{
@@ -23,8 +22,10 @@ use automc_models::train::{divergence, AuxKind};
 use automc_models::{ConvNet, ModelKind};
 use automc_tensor::fault::{self, FaultKind};
 use automc_tensor::{par, rng_for_task, rng_from_seed, Rng};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Whether interrupted searches and method-grid runs may resume from
 /// their journals (default) or must restart from scratch (`--no-resume`).
@@ -690,13 +691,13 @@ pub fn run_search_with(
         let history = match algo {
             Algo::AutoMc => {
                 let emb = embeddings.expect("AutoMC needs embeddings").to_vec();
-                progressive_search_journaled(&ctx, emb, &AutoMcConfig::default(), &mut rng, &opts)
+                progressive_search(&ctx, emb, &AutoMcConfig::default(), &mut rng, &opts)
             }
             Algo::Evolution => {
-                evolution_search_journaled(&ctx, &EvolutionConfig::default(), &mut rng, &opts)
+                evolution_search(&ctx, &EvolutionConfig::default(), &mut rng, &opts)
             }
-            Algo::Rl => rl_search_journaled(&ctx, &RlConfig::default(), &mut rng, &opts),
-            Algo::Random => random_search_journaled(&ctx, &mut rng, &opts),
+            Algo::Rl => rl_search(&ctx, &RlConfig::default(), &mut rng, &opts),
+            Algo::Random => random_search(&ctx, &mut rng, &opts),
         };
         eprintln!(
             "[harness] {} finished: {} evaluations, {:.1}s",
@@ -828,66 +829,20 @@ fn algo_band_rows(
 
 /// Number of independent task units in the Table 2 grid: twelve method
 /// rows (method-major, ratio-minor) followed by the four AutoML searches,
-/// in reporting order. Shared by the in-process pool ([`table2_rows`])
-/// and the multi-process orchestrator, which shard the same task indices.
+/// in reporting order. The `table2` experiment runs these as units
+/// `1..=table2_task_count()`, after the baseline row's unit 0.
 pub fn table2_task_count() -> usize {
     MethodId::ALL.len() * 2 + Algo::ALL.len()
-}
-
-/// Execute task `i` of the Table 2 grid and return its `(band, row)`
-/// pairs. Tasks derive their RNG from `(seed, task-id)` alone, so a task
-/// produces bitwise-identical rows on any thread, in any process, in any
-/// order — the property that makes both the in-process pool and the
-/// multi-process orchestrator merge back into one deterministic table.
-/// The [`RunOpts`] hook is polled before the task starts and observes
-/// each search round. A cancelled task returns no rows — the caller must
-/// check the hook and discard the partial grid.
-#[allow(clippy::too_many_arguments)]
-pub fn table2_task_with(
-    task: &PreparedTask,
-    space: &StrategySpace,
-    embeddings: &[Vec<f32>],
-    i: usize,
-    seed: u64,
-    fresh: bool,
-    run_opts: &RunOpts,
-) -> Vec<(usize, FinalRow)> {
-    if run_opts.hook.cancelled() {
-        return Vec::new();
-    }
-    let n_method_tasks = MethodId::ALL.len() * 2;
-    if i < n_method_tasks {
-        let method = MethodId::ALL[i / 2];
-        let ratio = if i % 2 == 0 { 0.4 } else { 0.7 };
-        eprintln!("[harness] {}: method {} @{ratio}…", task.scale.name, method.name());
-        vec![(i % 2, method_baseline_row(task, method, ratio, seed, fresh))]
-    } else {
-        let algo = Algo::ALL[i - n_method_tasks];
-        let history = run_search_with(
-            algo,
-            task,
-            space,
-            Some(embeddings),
-            seed,
-            fresh,
-            task.scale.name,
-            run_opts,
-        );
-        match history {
-            Some(history) => algo_band_rows(algo, &history, task, space, seed),
-            // Cancelled mid-search: the round journal is kept, no rows.
-            None => Vec::new(),
-        }
-    }
 }
 
 /// Run (or load) the full Table 2 pipeline for one experiment: method
 /// baselines plus all four AutoML algorithms in both PR bands.
 ///
-/// The twelve method-grid runs and four AutoML searches execute as
-/// independent pool tasks (`automc_tensor::par`). Each task derives its
-/// RNG from `(seed, task-id)` alone, so the resulting rows are identical
-/// at any thread count; assembly order is fixed by task index, never by
+/// The baseline row, the twelve method-grid runs and the four AutoML
+/// searches execute as `table2` task units on the in-process runner
+/// ([`crate::runner::LocalRunner`]). Each unit derives its RNG from
+/// `(seed, unit)` alone, so the resulting rows are identical at any
+/// thread count; assembly order is fixed by unit index, never by
 /// completion order.
 pub fn table2_rows(
     exp: &ExperimentScale,
@@ -899,9 +854,9 @@ pub fn table2_rows(
 }
 
 /// [`table2_rows`] with [`RunOpts`] — the job unit the serve daemon runs.
-/// The hook is polled before each grid task and observes every search
-/// round. Returns `None` when cancelled: the partial grid is *not* cached
-/// (per-task caches and round journals are, so a resubmitted job resumes
+/// The hook is polled before each unit and observes every search round.
+/// Returns `None` when cancelled: the partial grid is *not* cached
+/// (per-unit caches and round journals are, so a resubmitted job resumes
 /// past everything already finished).
 pub fn table2_rows_with(
     exp: &ExperimentScale,
@@ -909,59 +864,18 @@ pub fn table2_rows_with(
     fresh: bool,
     run_opts: &RunOpts,
 ) -> Option<(Vec<FinalRow>, Vec<FinalRow>)> {
-    let key = format!("table2_{}_s{seed}", exp.name);
-    let fp = run_fingerprint(exp, seed);
-    let cached: Option<(Vec<FinalRow>, Vec<FinalRow>)> =
-        if fresh { None } else { cache::load(&key, &fp) };
-    if let Some(rows) = cached {
-        eprintln!("[cache] reusing {key}");
-        return Some(rows);
-    }
-    let task = prepare_task(exp, seed);
-    eprintln!(
-        "[harness] {}: base acc {:.2}%, {} params",
-        exp.name,
-        task.base_metrics.acc * 100.0,
-        task.base_metrics.params
-    );
-    let space = StrategySpace::full();
-    let emb = automc_embeddings(&space, "full", seed, fresh, true, true);
-
-    let task_ref = &task;
-    let space_ref = &space;
-    let emb_ref = &emb;
-    let outs: Vec<Vec<(usize, FinalRow)>> = par::par_map(table2_task_count(), |i| {
-        table2_task_with(task_ref, space_ref, emb_ref, i, seed, fresh, run_opts)
-    });
-    if run_opts.hook.cancelled() {
-        eprintln!("[harness] table2 {} cancelled; partial grid discarded", exp.name);
-        return None;
-    }
-
-    let mut band40: Vec<FinalRow> = vec![FinalRow::baseline(&task)];
-    let mut band70: Vec<FinalRow> = Vec::new();
-    for rows in outs {
-        for (band, row) in rows {
-            if band == 0 {
-                band40.push(row);
-            } else {
-                band70.push(row);
-            }
-        }
-    }
-    cache::store(&key, &fp, &(band40.clone(), band70.clone()));
-    Some((band40, band70))
+    let mut runner = crate::runner::LocalRunner::new(run_opts.clone());
+    crate::orchestrator::fetch_table2(&mut runner, exp, seed, fresh)
 }
 
 // ------------------------------------------------------------------------
-// Distributed task units
+// Task units
 // ------------------------------------------------------------------------
 //
-// The distributed execution layer (`transport::DistRunner`) ships work as
-// *task units*: `(experiment, scale, seed, unit index, params)` tuples
-// that any worker can execute from nothing but its own caches. Every
-// binary's loop body is factored into a unit here so `--workers N` and
-// `--connect host:port` work for all of them:
+// Every experiment runs as *task units*: `(experiment, scale, seed, unit
+// index, params)` tuples that any runner can execute from nothing but its
+// own caches — the in-process runner on the thread pool, or a fleet
+// worker over TCP (`crate::runner`). The binaries only merge payloads:
 //
 // | experiment | unit <i>                                   | payload |
 // |------------|--------------------------------------------|---------|
@@ -970,17 +884,30 @@ pub fn table2_rows_with(
 // | `table3`   | transfer target `table3_targets(scale)[i]`  | `{rows}` |
 // | `fig5`     | ablation variant `FIG5_VARIANTS[i]`         | `{history}` |
 //
-// Units are deterministic functions of `(seed, scale, unit)` — the same
-// property that makes thread- and process-level sharding byte-identical
-// makes network-level sharding byte-identical. `params` carries
-// cross-unit inputs computed by the supervisor (table3's searched
-// schemes), so a unit never depends on a sibling's store.
+// Units are deterministic functions of `(seed, scale, unit)` — the
+// property that makes thread-, process- and network-level execution
+// byte-identical. `params` carries cross-unit inputs computed by the
+// caller (table3's searched schemes), so a unit never depends on a
+// sibling's store.
 
-/// Per-process cache of prepared tasks, so a worker executing many units
-/// of one scale pre-trains the base model once, not once per unit.
+/// A slot filled once and then shared: concurrent callers of the same key
+/// wait for the one computation instead of repeating it.
+type Slot<T> = Arc<OnceLock<Arc<T>>>;
+
+/// Per-runner cache of prepared tasks and embeddings, shared by every
+/// unit of a run (pool tasks or a worker's sequential units), so the base
+/// model is pre-trained once per `(scale, model, seed)` and the
+/// embeddings are loaded once per seed, not once per unit.
 #[derive(Default)]
 pub struct UnitCtx {
-    tasks: std::collections::HashMap<String, PreparedTask>,
+    tasks: Mutex<HashMap<String, Slot<PreparedTask>>>,
+    embeddings: Mutex<HashMap<u64, Slot<Vec<Vec<f32>>>>>,
+}
+
+/// The slot for `key`, created empty on first use.
+fn slot<K: std::hash::Hash + Eq, T>(map: &Mutex<HashMap<K, Slot<T>>>, key: K) -> Slot<T> {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    Arc::clone(map.entry(key).or_default())
 }
 
 impl UnitCtx {
@@ -990,18 +917,46 @@ impl UnitCtx {
     }
 
     /// The prepared task for `(scale, model, seed)`, preparing it on
-    /// first use.
+    /// first use. Keyed by the scale's fingerprint, not its name: a
+    /// custom scale may reuse a standard scale's name.
     pub fn task_for(
-        &mut self,
+        &self,
         scale: &ExperimentScale,
         model: ModelKind,
         seed: u64,
-    ) -> &PreparedTask {
-        let key = format!("{}|{model}|s{seed}", scale.name);
-        self.tasks
-            .entry(key)
-            .or_insert_with(|| crate::scale::prepare_task_for_model(scale, model, seed))
+    ) -> Arc<PreparedTask> {
+        let key = format!("{}|{model}|s{seed}", scale.fingerprint());
+        let slot = slot(&self.tasks, key);
+        let task = slot.get_or_init(|| {
+            let task = crate::scale::prepare_task_for_model(scale, model, seed);
+            eprintln!(
+                "[harness] {} ({model}): base acc {:.2}%, {} params",
+                scale.name,
+                task.base_metrics.acc * 100.0,
+                task.base_metrics.params
+            );
+            Arc::new(task)
+        });
+        Arc::clone(task)
     }
+
+    /// The full-space knowledge embeddings for `seed`, loaded (or, with
+    /// `fresh`, recomputed) on first use.
+    pub fn embeddings(&self, seed: u64, fresh: bool) -> Arc<Vec<Vec<f32>>> {
+        let slot = slot(&self.embeddings, seed);
+        let emb = slot.get_or_init(|| {
+            Arc::new(automc_embeddings(&StrategySpace::full(), "full", seed, fresh, true, true))
+        });
+        Arc::clone(emb)
+    }
+}
+
+/// Whether `experiment`'s units read the knowledge embeddings — global
+/// artifacts a runner computes once before fanning out: computed inside
+/// one unit they would serialise every sibling behind them (and starve
+/// the corpus's own parallel map of pool threads).
+pub fn needs_embeddings(experiment: &str) -> bool {
+    matches!(experiment, "table2" | "search")
 }
 
 /// Cache key under which a unit's payload is journaled — by the worker in
@@ -1025,11 +980,10 @@ pub fn table3_targets(scale: &ExperimentScale) -> Vec<ModelKind> {
 }
 
 /// One Table 3 target: the six human-designed methods at ratio 0.4 plus
-/// the four searched schemes transferred onto `target` (cached under the
-/// same key the serial binary always used, so serial and distributed runs
-/// share results).
+/// the four searched schemes transferred onto `target` (cached per
+/// target, so every runner shares results).
 pub fn table3_target_rows(
-    ctx: &mut UnitCtx,
+    ctx: &UnitCtx,
     space: &StrategySpace,
     schemes: &[(String, Option<Scheme>)],
     scale: &ExperimentScale,
@@ -1044,13 +998,13 @@ pub fn table3_target_rows(
         let mut rows = Vec::new();
         for method in MethodId::ALL {
             eprintln!("[table3] {} on {target}…", method.name());
-            rows.push(method_row_quick(task, method, 0.4, seed, fresh));
+            rows.push(method_row_quick(&task, method, 0.4, seed, fresh));
         }
         for (name, scheme) in schemes {
             match scheme {
                 Some(s) => {
                     eprintln!("[table3] transferring {name}'s scheme to {target}…");
-                    rows.push(final_row(name, s, task, space, seed));
+                    rows.push(final_row(name, s, &task, space, seed));
                 }
                 None => rows.push(degraded_row(name, "no feasible scheme")),
             }
@@ -1102,11 +1056,9 @@ pub fn schemes_from_params(params: &Value) -> Result<Vec<(String, Option<Scheme>
 /// strategies. (The remaining two curves reuse the `search` units.)
 pub const FIG5_VARIANTS: [&str; 3] = ["nokg", "noexp", "single"];
 
-/// Run (or load) one Figure 5 ablation variant. Factored out of the
-/// `fig5` binary so a distributed worker can execute it as a unit; cache
-/// key, RNG derivation, and search configuration are unchanged.
+/// Run (or load) one Figure 5 ablation variant — the `fig5` task unit.
 pub fn fig5_variant(
-    ctx: &mut UnitCtx,
+    ctx: &UnitCtx,
     scale: &ExperimentScale,
     idx: usize,
     seed: u64,
@@ -1148,7 +1100,8 @@ pub fn fig5_variant(
             gamma: scale.gamma,
             budget: SearchBudget::new(scale.budget_units),
         };
-        automc_core::progressive_search(&ctx, emb, &AutoMcConfig::default(), &mut rng)
+        let cfg = AutoMcConfig::default();
+        progressive_search(&ctx, emb, &cfg, &mut rng, &JournalOptions::default())
     }))
 }
 
@@ -1166,52 +1119,57 @@ pub fn unit_count(experiment: &str, scale: &ExperimentScale) -> Option<usize> {
 
 /// Execute one task unit and return its payload. Pure in the distributed
 /// sense: everything a unit needs arrives in the arguments (plus the
-/// worker's own caches), and the payload JSON carries everything the
-/// supervisor's merge needs. Errors are returned, never panicked — the
-/// transport forwards them as `result`-frame errors and the supervisor
-/// retries or degrades.
+/// runner's own caches), and the payload JSON carries everything the
+/// merge needs. Errors are returned, never panicked — the in-process
+/// runner degrades the unit, the fleet forwards them as `result`-frame
+/// errors and retries or degrades. The [`RunOpts`] hook is polled before
+/// the unit starts and observes each search round; a cancelled unit is an
+/// error, and its caller must discard the partial run.
+#[allow(clippy::too_many_arguments)]
 pub fn run_unit(
-    ctx: &mut UnitCtx,
+    ctx: &UnitCtx,
     experiment: &str,
     scale: &ExperimentScale,
     seed: u64,
     unit: usize,
     fresh: bool,
     params: &Value,
+    run_opts: &RunOpts,
 ) -> Result<Value, String> {
     let total = unit_count(experiment, scale)
         .ok_or_else(|| format!("unknown experiment {experiment:?}"))?;
     if unit >= total {
         return Err(format!("{experiment} has no unit {unit} (0..{total})"));
     }
+    let cancelled = || "cancelled".to_string();
+    if run_opts.hook.cancelled() {
+        return Err(cancelled());
+    }
+    let space = StrategySpace::full();
+    let search = |algo: Algo| {
+        let task = ctx.task_for(scale, scale.model, seed);
+        let emb = ctx.embeddings(seed, false);
+        let history =
+            run_search_with(algo, &task, &space, Some(&emb[..]), seed, fresh, scale.name, run_opts);
+        history.map(|h| (h, task)).ok_or_else(cancelled)
+    };
     match experiment {
         "table2" => {
-            let space = StrategySpace::full();
             let n_method_tasks = MethodId::ALL.len() * 2;
             let (rows, evals, failed) = if unit == 0 {
                 let task = ctx.task_for(scale, scale.model, seed);
-                (vec![(0usize, FinalRow::baseline(task))], 0usize, 0usize)
+                (vec![(0usize, FinalRow::baseline(&task))], 0usize, 0usize)
             } else if unit - 1 < n_method_tasks {
+                let i = unit - 1;
+                let (method, ratio) = (MethodId::ALL[i / 2], if i % 2 == 0 { 0.4 } else { 0.7 });
+                eprintln!("[harness] {}: method {} @{ratio}…", scale.name, method.name());
                 let task = ctx.task_for(scale, scale.model, seed);
-                let opts = RunOpts::default();
-                (table2_task_with(task, &space, &[], unit - 1, seed, fresh, &opts), 0, 0)
+                (vec![(i % 2, method_baseline_row(&task, method, ratio, seed, fresh))], 0, 0)
             } else {
-                let emb = automc_embeddings(&space, "full", seed, false, true, true);
-                let task = ctx.task_for(scale, scale.model, seed);
                 let algo = Algo::ALL[unit - 1 - n_method_tasks];
-                let history = run_search_with(
-                    algo,
-                    task,
-                    &space,
-                    Some(&emb),
-                    seed,
-                    fresh,
-                    scale.name,
-                    &RunOpts::default(),
-                )
-                .unwrap_or_default();
+                let (history, task) = search(algo)?;
                 let (evals, failed) = (history.records.len(), history.failed_count());
-                (algo_band_rows(algo, &history, task, &space, seed), evals, failed)
+                (algo_band_rows(algo, &history, &task, &space, seed), evals, failed)
             };
             Ok(obj(vec![
                 ("rows", rows.to_json()),
@@ -1220,25 +1178,10 @@ pub fn run_unit(
             ]))
         }
         "search" => {
-            let space = StrategySpace::full();
-            let emb = automc_embeddings(&space, "full", seed, false, true, true);
-            let task = ctx.task_for(scale, scale.model, seed);
-            let algo = Algo::ALL[unit];
-            let history = run_search_with(
-                algo,
-                task,
-                &space,
-                Some(&emb),
-                seed,
-                fresh,
-                scale.name,
-                &RunOpts::default(),
-            )
-            .unwrap_or_default();
+            let (history, _) = search(Algo::ALL[unit])?;
             Ok(obj(vec![("history", history.to_json())]))
         }
         "table3" => {
-            let space = StrategySpace::full();
             let schemes = schemes_from_params(params)?;
             let target = table3_targets(scale)[unit];
             let rows = table3_target_rows(ctx, &space, &schemes, scale, target, seed, fresh);
@@ -1255,7 +1198,7 @@ pub fn run_unit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::exp1;
+    use crate::scale::{exp1, prepare_task};
 
     #[test]
     fn method_grids_fix_ratio() {

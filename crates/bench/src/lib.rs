@@ -16,6 +16,12 @@
 //! runs). Pass `--seed N` to any binary to change the master seed;
 //! `--fresh` ignores the cache.
 //!
+//! One execution path: every binary runs its experiment as
+//! [`harness::run_unit`] task units on the [`runner::Runner`] that
+//! [`transport::fleet`] picks — the in-process thread pool by default,
+//! the TCP worker fleet with `--workers N` / `--listen ADDR` — and builds
+//! its artifact with the one merge per experiment in [`orchestrator`].
+//!
 //! Fault tolerance: every candidate evaluation is supervised (panics and
 //! divergence are recorded as infeasible history entries, not crashes),
 //! AutoMC searches journal their state each round and resume after a kill
@@ -30,6 +36,7 @@ pub mod cache;
 pub mod harness;
 pub mod orchestrator;
 pub mod report;
+pub mod runner;
 pub mod scale;
 pub mod transport;
 

@@ -1,15 +1,22 @@
-//! Supervisor-side plumbing of the distributed execution layer.
+//! The experiment layer over a [`Runner`]: one merge per experiment, and
+//! the supervisor state of the fleet.
+//!
+//! Every binary gets its artifact through a `fetch_*` function here —
+//! [`fetch_table2`], [`fetch_searches`], [`fetch_table3`], [`fetch_fig5`]
+//! — which runs the experiment's task units on whichever [`Runner`] the
+//! command line chose ([`crate::transport::fleet`]) and merges the
+//! payloads in fixed unit order. The merge is the same code for the
+//! in-process runner and the TCP fleet, so the two are byte-identical by
+//! construction, and a `None` payload — a unit the fleet lost, or one
+//! `run_unit` rejected — degrades to the same labelled rows on both.
 //!
 //! The transport itself — the TCP task server, the pull-based dynamic
 //! work queue, worker connections, heartbeat frames — lives in
-//! [`crate::transport`]. This module keeps the pieces that are about the
-//! *experiments* rather than the wire: resolving scale names, the
-//! journaled retry counters that survive a supervisor restart, merging
-//! streamed `table2` unit payloads into the final report (byte-identical
-//! to a single-process run), and degrading units whose every assignment
-//! was lost.
+//! [`crate::transport`]. This module keeps the supervisor pieces that are
+//! about the experiments rather than the wire: resolving scale names and
+//! the journaled retry counters that survive a supervisor restart.
 //!
-//! Failure handling (the failure matrix of DESIGN.md §15):
+//! Fleet failure handling (the failure matrix of DESIGN.md §15):
 //!
 //! * **crash** — a local worker that exits non-zero is restarted with
 //!   exponential backoff; the restart resumes for free (completed units
@@ -25,7 +32,8 @@
 //!   again;
 //! * **retry-exhausted** — a unit whose every assignment was lost
 //!   degrades to a labelled [`harness::degraded_row`] (`… (worker
-//!   unavailable)`); the run always completes;
+//!   unavailable)`); the run always completes, and a merged table with a
+//!   lost unit is never cached;
 //! * **supervisor restart** — completed unit payloads are journaled in
 //!   the supervisor's store as they stream in, so a relaunched supervisor
 //!   replays the merge losslessly instead of re-running finished work,
@@ -33,12 +41,16 @@
 //!   in one supervisor record ([`OrchJournal`]).
 
 use crate::cache;
-use crate::harness::{self, degraded_row, run_fingerprint, table2_task_count, FinalRow};
+use crate::harness::{
+    self, degraded_row, run_fingerprint, schemes_to_params, table2_task_count, table3_targets,
+    FinalRow, FIG5_VARIANTS,
+};
+use crate::runner::Runner;
 use crate::scale::{exp1, exp2, smoke, ExperimentScale};
 use crate::transport::DistRunner;
 use crate::BenchArgs;
-use automc_compress::{MethodId, StrategySpace};
-use automc_core::journal;
+use automc_compress::{MethodId, Scheme};
+use automc_core::{journal, SearchHistory};
 use automc_json::{field, FromJson, ToJson, Value};
 use std::path::{Path, PathBuf};
 
@@ -133,13 +145,16 @@ impl OrchJournal {
 }
 
 // ------------------------------------------------------------------------
-// Streamed-merge assembly
+// Experiment merges
 // ------------------------------------------------------------------------
 
-/// The `(band, row)` stand-ins for a `table2` unit whose every assignment
-/// was lost: same shape as the real unit, each row labelled `(worker
-/// unavailable)`. Ownership is dynamic — any worker may have held the
-/// unit — so the label no longer names a worker index.
+/// A Table 2 result: the PR ≈ 40% band (baseline row first), then the
+/// PR ≈ 70% band.
+pub type Table2 = (Vec<FinalRow>, Vec<FinalRow>);
+
+/// The `(band, row)` stand-ins for a `table2` unit that produced no
+/// payload: same shape as the real unit, each row labelled `(worker
+/// unavailable)`.
 pub fn table2_degraded_unit(unit: usize) -> Vec<(usize, FinalRow)> {
     let why = "worker unavailable";
     let n_method_tasks = MethodId::ALL.len() * 2;
@@ -157,133 +172,123 @@ pub fn table2_degraded_unit(unit: usize) -> Vec<(usize, FinalRow)> {
     }
 }
 
-/// Cache key of the streamed evaluation counters of a distributed
-/// `table2` run (stored only when no unit degraded, so the smoke summary
-/// never under-counts silently).
+/// Cache key of the evaluation counters of a merged `table2` run (stored
+/// only when no unit was lost, so the smoke summary never under-counts
+/// silently).
 pub fn table2_counts_key(exp_name: &str, seed: u64) -> String {
     format!("table2_counts_{exp_name}_s{seed}")
 }
 
-/// Distributed drop-in for [`harness::table2_rows`]: enqueue the 17 task
-/// units on `runner`'s dynamic work queue, stream the per-unit payloads
-/// back, and merge them in fixed unit order — byte-identical to the
-/// serial run. A unit whose every assignment was lost degrades to
-/// labelled rows instead of aborting the table.
-pub fn table2_rows_dist(
-    runner: &mut DistRunner,
-    exp: &ExperimentScale,
-    args: &BenchArgs,
-) -> (Vec<FinalRow>, Vec<FinalRow>) {
-    let seed = args.seed;
-    let key = format!("table2_{}_s{seed}", exp.name);
-    let fp = run_fingerprint(exp, seed);
-    if !args.fresh {
-        if let Some(rows) = cache::load(&key, &fp) {
-            eprintln!("[cache] reusing {key}");
-            return rows;
-        }
-    }
-    // Compute the global artifacts (experience corpus + embeddings) once,
-    // in the supervisor's own store, before any unit is handed out: every
-    // worker that pulls a search unit fetches them through the
-    // shared-store fallback instead of re-deriving them per process.
-    let _ = harness::automc_embeddings(
-        &StrategySpace::full(),
-        "full",
-        seed,
-        args.fresh,
-        true,
-        true,
-    );
-    let units: Vec<usize> = (0..table2_task_count() + 1).collect();
-    let payloads = runner.run_units("table2", exp, seed, args.fresh, &units, &Value::Null);
-    let mut band40 = Vec::new();
-    let mut band70 = Vec::new();
-    let mut evals = 0usize;
-    let mut failed = 0usize;
-    let mut degraded = false;
-    for (&unit, payload) in units.iter().zip(&payloads) {
-        let rows: Vec<(usize, FinalRow)> = match payload {
-            Some(p) => {
-                evals += field::<u64>(p, "evals").unwrap_or(0) as usize;
-                failed += field::<u64>(p, "failed").unwrap_or(0) as usize;
-                field(p, "rows").unwrap_or_else(|| {
-                    degraded = true;
-                    table2_degraded_unit(unit)
-                })
-            }
-            None => {
-                degraded = true;
-                table2_degraded_unit(unit)
-            }
-        };
+/// Merge `table2` payloads (aligned with `units`) in unit order. Returns
+/// the table, the `(evals, failed)` counters of its searches, and how
+/// many units were lost to stand-in rows.
+pub(crate) fn merge_table2(
+    units: &[usize],
+    payloads: &[Option<Value>],
+) -> (Table2, (usize, usize), usize) {
+    let (mut band40, mut band70) = (Vec::new(), Vec::new());
+    let (mut evals, mut failed, mut lost) = (0usize, 0usize, 0usize);
+    for (&unit, payload) in units.iter().zip(payloads) {
+        let rows = payload.as_ref().and_then(|p| {
+            evals += field::<u64>(p, "evals").unwrap_or(0) as usize;
+            failed += field::<u64>(p, "failed").unwrap_or(0) as usize;
+            field::<Vec<(usize, FinalRow)>>(p, "rows")
+        });
+        let rows = rows.unwrap_or_else(|| {
+            lost += 1;
+            table2_degraded_unit(unit)
+        });
         for (band, row) in rows {
-            if band == 0 {
-                band40.push(row);
-            } else {
-                band70.push(row);
-            }
+            if band == 0 { &mut band40 } else { &mut band70 }.push(row);
         }
     }
-    let rows = (band40, band70);
-    cache::store(&key, &fp, &rows);
-    if degraded {
-        eprintln!("[dist] {}: degraded units in the merged table", exp.name);
-    } else {
-        cache::store(&table2_counts_key(exp.name, seed), &fp, &(evals, failed));
-    }
-    rows
+    ((band40, band70), (evals, failed), lost)
 }
 
-/// Distributed counterpart of running [`harness::run_search_with`] for the
-/// algorithms in `algos` (indices into [`harness::Algo::ALL`]): already
-/// cached histories — in the supervisor's store or any worker sub-store —
-/// are reused, the rest are enqueued as `search` task units. Returned
-/// histories are also persisted under the serial cache key in the
-/// supervisor's store, so every downstream serial-path reuse (figure
-/// overlays, table3 scheme extraction, smoke count scans) is a local hit.
+/// Run (or load) Table 2 for one experiment on `runner`: the baseline
+/// row, the twelve method rows and the four searches as 17 `table2`
+/// units, merged in fixed unit order. Returns `None` when the runner was
+/// cancelled; a cancelled or partly lost table is not cached (a lost
+/// unit's stand-in rows would otherwise replay as a cache hit in every
+/// later run of this store).
+pub fn fetch_table2(
+    runner: &mut dyn Runner,
+    exp: &ExperimentScale,
+    seed: u64,
+    fresh: bool,
+) -> Option<Table2> {
+    let key = format!("table2_{}_s{seed}", exp.name);
+    let fp = run_fingerprint(exp, seed);
+    if !fresh {
+        if let Some(rows) = cache::load(&key, &fp) {
+            eprintln!("[cache] reusing {key}");
+            return Some(rows);
+        }
+    }
+    let units: Vec<usize> = (0..table2_task_count() + 1).collect();
+    let payloads = runner.run_units("table2", exp, seed, fresh, &units, &Value::Null);
+    if runner.cancelled() {
+        eprintln!("[harness] table2 {} cancelled; partial grid discarded", exp.name);
+        return None;
+    }
+    let (rows, counts, lost) = merge_table2(&units, &payloads);
+    if lost > 0 {
+        eprintln!("[harness] table2 {}: {lost} unit(s) lost; merged table not cached", exp.name);
+    } else {
+        cache::store(&key, &fp, &rows);
+        cache::store(&table2_counts_key(exp.name, seed), &fp, &counts);
+    }
+    Some(rows)
+}
+
+/// [`fetch_table2`] on the TCP fleet, for callers holding a
+/// [`DistRunner`] and the command-line arguments.
+pub fn table2_rows_dist(runner: &mut DistRunner, exp: &ExperimentScale, args: &BenchArgs) -> Table2 {
+    // The fleet never reports a cancellation.
+    fetch_table2(runner, exp, args.seed, args.fresh).unwrap_or_default()
+}
+
+/// The searches of `algos` (indices into [`harness::Algo::ALL`]) on the
+/// source task: already cached histories — in this process's store or
+/// any worker sub-store — are reused, the rest run as `search` task units
+/// on `runner`. Histories found in a worker sub-store or returned by a
+/// unit are also persisted under their search cache key in this
+/// process's store, so every later reuse (figure overlays, table3 scheme
+/// extraction, smoke count scans) is a local hit. A search that produced
+/// no payload is `None`.
 pub fn fetch_searches(
-    runner: &mut DistRunner,
+    runner: &mut dyn Runner,
     exp: &ExperimentScale,
     seed: u64,
     fresh: bool,
     algos: &[usize],
-) -> Vec<Option<automc_core::SearchHistory>> {
+) -> Vec<Option<SearchHistory>> {
     let fp = run_fingerprint(exp, seed);
-    let serial_key = |u: usize| {
+    let search_key = |u: usize| {
         format!("{}_s{seed}_{}", exp.name, harness::Algo::ALL[u].name().to_lowercase())
     };
-    let mut out: Vec<Option<automc_core::SearchHistory>> = vec![None; algos.len()];
+    let mut out: Vec<Option<SearchHistory>> = vec![None; algos.len()];
     let mut need: Vec<usize> = Vec::new();
     for (i, &u) in algos.iter().enumerate() {
         if !fresh {
-            if let Some(h) = load_result_any::<automc_core::SearchHistory>(&serial_key(u), &fp)
-            {
-                cache::store(&serial_key(u), &fp, &h);
-                out[i] = Some(h);
+            let hit = cache::load(&search_key(u), &fp).or_else(|| {
+                let h: SearchHistory = load_from_workers(&search_key(u), &fp)?;
+                cache::store(&search_key(u), &fp, &h);
+                Some(h)
+            });
+            if hit.is_some() {
+                out[i] = hit;
                 continue;
             }
         }
         need.push(u);
     }
     if !need.is_empty() {
-        // Workers that pull a search unit fetch the experience corpus and
-        // embeddings through the shared-store fallback — compute them
-        // once, here, in the supervisor's store.
-        let _ = harness::automc_embeddings(
-            &StrategySpace::full(),
-            "full",
-            seed,
-            fresh,
-            true,
-            true,
-        );
         let payloads = runner.run_units("search", exp, seed, fresh, &need, &Value::Null);
         for (&u, payload) in need.iter().zip(payloads) {
-            let h: Option<automc_core::SearchHistory> =
-                payload.and_then(|p| field(&p, "history"));
+            let h: Option<SearchHistory> = payload.and_then(|p| field(&p, "history"));
             if let Some(h) = &h {
-                cache::store(&serial_key(u), &fp, h);
+                cache::store(&search_key(u), &fp, h);
             }
             if let Some(i) = algos.iter().position(|&x| x == u) {
                 out[i] = h;
@@ -293,14 +298,72 @@ pub fn fetch_searches(
     out
 }
 
+/// Stand-in rows for a Table 3 target that produced no payload: the
+/// table keeps its shape, each row labelled `(worker unavailable)`.
+pub(crate) fn table3_degraded_target(schemes: &[(String, Option<Scheme>)]) -> Vec<FinalRow> {
+    let why = "worker unavailable";
+    MethodId::ALL
+        .iter()
+        .map(|m| m.name())
+        .chain(schemes.iter().map(|(name, _)| name.as_str()))
+        .map(|name| degraded_row(name, why))
+        .collect()
+}
+
+/// Merge `table3` payloads into one row list per target.
+pub(crate) fn merge_table3(
+    payloads: Vec<Option<Value>>,
+    schemes: &[(String, Option<Scheme>)],
+) -> Vec<Vec<FinalRow>> {
+    payloads
+        .into_iter()
+        .map(|p| {
+            p.and_then(|p| field(&p, "rows")).unwrap_or_else(|| table3_degraded_target(schemes))
+        })
+        .collect()
+}
+
+/// Table 3 for one experiment on `runner`: every transfer target of
+/// [`table3_targets`] as a `table3` unit, with the searched `schemes`
+/// shipped in the unit params.
+pub fn fetch_table3(
+    runner: &mut dyn Runner,
+    exp: &ExperimentScale,
+    seed: u64,
+    fresh: bool,
+    schemes: &[(String, Option<Scheme>)],
+) -> Vec<Vec<FinalRow>> {
+    let units: Vec<usize> = (0..table3_targets(exp).len()).collect();
+    let params = schemes_to_params(schemes);
+    merge_table3(runner.run_units("table3", exp, seed, fresh, &units, &params), schemes)
+}
+
+/// The Figure 5 ablation searches ([`FIG5_VARIANTS`], in order) on
+/// `runner`; a variant that produced no payload is `None`.
+pub fn fetch_fig5(
+    runner: &mut dyn Runner,
+    exp: &ExperimentScale,
+    seed: u64,
+    fresh: bool,
+) -> Vec<Option<SearchHistory>> {
+    let units: Vec<usize> = (0..FIG5_VARIANTS.len()).collect();
+    runner
+        .run_units("fig5", exp, seed, fresh, &units, &Value::Null)
+        .into_iter()
+        .map(|p| p.and_then(|p| field(&p, "history")))
+        .collect()
+}
+
 /// Load a cached value from the supervisor's own store or, failing that,
 /// from any worker sub-store under it — the distributed counterpart of
 /// [`cache::load`] for artifacts (like search histories) that live where
 /// the owning worker ran.
 pub fn load_result_any<T: FromJson>(key: &str, fingerprint: &str) -> Option<T> {
-    if let Some(v) = cache::load(key, fingerprint) {
-        return Some(v);
-    }
+    cache::load(key, fingerprint).or_else(|| load_from_workers(key, fingerprint))
+}
+
+/// [`load_result_any`] from the worker sub-stores alone.
+fn load_from_workers<T: FromJson>(key: &str, fingerprint: &str) -> Option<T> {
     let root = cache::cache_dir();
     for idx in 0..table2_task_count() {
         let dir = worker_dir(&root, idx);

@@ -38,10 +38,12 @@
 //! reconnects with backoff.
 
 use crate::cache;
-use crate::harness::{self, run_fingerprint, unit_key};
+use crate::harness::{self, run_fingerprint, unit_key, RunOpts, UnitCtx};
 use crate::orchestrator::{self, OrchJournal, WORKER_KILL_EXIT};
+use crate::runner::{LocalRunner, Runner};
 use crate::scale::ExperimentScale;
 use crate::BenchArgs;
+use automc_compress::StrategySpace;
 use automc_core::journal::{self, Heartbeat};
 use automc_json::wire::{self, frame, lock, write_frame, Recv, Stall, Stop};
 use automc_json::{field, ToJson, Value};
@@ -106,20 +108,20 @@ impl SchedPolicy {
     }
 }
 
-/// The fleet entry of the experiment binaries. As a `--connect` worker,
+/// The runner entry of the experiment binaries. As a `--connect` worker,
 /// serve units until shut down and exit with the worker's code.
 /// Otherwise start the task server when a distributed run was requested
 /// (`--workers N` / `--listen ADDR`; exit 1 if it cannot start), or
-/// return `None` for an in-process run.
-pub fn fleet(args: &BenchArgs) -> Option<DistRunner> {
+/// return the in-process runner.
+pub fn fleet(args: &BenchArgs) -> Box<dyn Runner> {
     if let Some(addr) = args.connect.as_deref() {
         std::process::exit(run_worker_connect(args, addr));
     }
     if args.workers == 0 && args.listen.is_none() {
-        return None;
+        return Box::new(LocalRunner::new(RunOpts::default()));
     }
     match DistRunner::start(args) {
-        Ok(r) => Some(r),
+        Ok(r) => Box::new(r),
         Err(e) => {
             eprintln!("error: cannot start the distributed task server: {e}");
             std::process::exit(1);
@@ -319,11 +321,11 @@ enum ConnEnd {
 pub fn run_worker_connect(args: &BenchArgs, addr: &str) -> i32 {
     SPAWNED_BY.get_or_init(parent_pid);
     let directive = std::env::var("AUTOMC_WORKER_FAULT").unwrap_or_default();
-    let mut ctx = harness::UnitCtx::new();
+    let ctx = UnitCtx::new();
     let mut units_done = 0u64;
     let mut failures = 0u32;
     loop {
-        match serve_connection(args, addr, &mut ctx, &mut units_done, &directive, &mut failures)
+        match serve_connection(args, addr, &ctx, &mut units_done, &directive, &mut failures)
         {
             ConnEnd::Finished => {
                 eprintln!("[worker] shutdown received after {units_done} unit(s)");
@@ -350,7 +352,7 @@ pub fn run_worker_connect(args: &BenchArgs, addr: &str) -> i32 {
 fn serve_connection(
     args: &BenchArgs,
     addr: &str,
-    ctx: &mut harness::UnitCtx,
+    ctx: &UnitCtx,
     units_done: &mut u64,
     directive: &str,
     failures: &mut u32,
@@ -423,7 +425,7 @@ fn serve_connection(
 
 fn run_task_frame(
     frame: &Value,
-    ctx: &mut harness::UnitCtx,
+    ctx: &UnitCtx,
     writer: &SharedWriter,
     emitter: &Emitter,
     wid: u64,
@@ -464,8 +466,9 @@ fn run_task_frame(
                     }
                     None => {
                         eprintln!("[worker {wid}] running {experiment}/{unit} ({scale_name})");
+                        let opts = RunOpts::default();
                         match harness::run_unit(
-                            ctx, &experiment, &scale, seed, unit, fresh, &params,
+                            ctx, &experiment, &scale, seed, unit, fresh, &params, &opts,
                         ) {
                             Ok(v) => {
                                 cache::store(&key, &local_fp, &v);
@@ -858,7 +861,7 @@ struct Slot {
 
 /// The distributed task server: a TCP listener, the shared work-queue
 /// state, and (in local mode) the supervised self-exec worker fleet. One
-/// runner serves many [`DistRunner::run_units`] rounds — workers stay
+/// runner serves many [`Runner::run_units`] rounds — workers stay
 /// connected and idle between rounds — and is shut down once at the end
 /// of the binary's run.
 pub struct DistRunner {
@@ -888,7 +891,7 @@ impl DistRunner {
     /// expose it), extract the `net`-site fault schedule, and arrange for
     /// `args.workers` local self-exec workers. Workers — local or remote
     /// (`<bin> --connect`) — pull units from every subsequent
-    /// [`DistRunner::run_units`] round.
+    /// [`Runner::run_units`] round.
     pub fn start(args: &BenchArgs) -> std::io::Result<DistRunner> {
         let root = cache::cache_dir();
         std::fs::create_dir_all(&root)?;
@@ -1121,7 +1124,7 @@ impl DistRunner {
     /// merged unit (so `exit@dist:k` kills the supervisor after the k-th
     /// merge, for restart-replay testing); completed payloads are
     /// journaled in the supervisor's store and replayed on restart.
-    pub fn run_units(
+    fn distribute(
         &mut self,
         experiment: &str,
         scale: &ExperimentScale,
@@ -1359,6 +1362,32 @@ impl DistRunner {
             store.raced,
             store.index_rebuilds
         );
+    }
+}
+
+impl Runner for DistRunner {
+    fn run_units(
+        &mut self,
+        experiment: &str,
+        scale: &ExperimentScale,
+        seed: u64,
+        fresh: bool,
+        units: &[usize],
+        params: &Value,
+    ) -> Vec<Option<Value>> {
+        if harness::needs_embeddings(experiment) {
+            // Compute the global artifacts (experience corpus +
+            // embeddings) once, in the supervisor's own store, before any
+            // unit is handed out: every worker fetches them through the
+            // shared-store fallback instead of re-deriving them.
+            let space = StrategySpace::full();
+            let _ = harness::automc_embeddings(&space, "full", seed, fresh, true, true);
+        }
+        self.distribute(experiment, scale, seed, fresh, units, params)
+    }
+
+    fn shutdown(&mut self) {
+        DistRunner::shutdown(self);
     }
 }
 

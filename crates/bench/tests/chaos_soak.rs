@@ -18,8 +18,11 @@
 //! that every pool site (cache, spill, index, eval-exit, worker kill and
 //! hang, net drop, dist exit) fires across the suite.
 
+mod common;
+
+use common::{tail, wait_deadline};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -71,29 +74,6 @@ fn base_cmd(results: &Path, shared: Option<&Path>) -> Command {
     }
     cmd.stdin(Stdio::null());
     cmd
-}
-
-/// Wait for `child` with a deadline; kills and panics on overrun.
-fn wait_deadline(mut child: Child, end: Instant, what: &str) -> Output {
-    loop {
-        match child.try_wait().expect("try_wait") {
-            Some(_) => return child.wait_with_output().expect("collect output"),
-            None if Instant::now() >= end => {
-                let _ = child.kill();
-                let out = child.wait_with_output().expect("collect output");
-                panic!(
-                    "{what} blew the soak deadline; stderr tail:\n{}",
-                    tail(&text(&out.stderr))
-                );
-            }
-            None => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
-fn tail(s: &str) -> String {
-    let lines: Vec<&str> = s.lines().collect();
-    lines[lines.len().saturating_sub(25)..].join("\n")
 }
 
 /// The fault-free serial reference: computed once per test process, its

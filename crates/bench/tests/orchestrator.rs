@@ -166,6 +166,10 @@ fn sharded_runs_survive_faults_and_match_the_serial_run_exactly() {
     );
     assert!(err.contains("retry budget (0) exhausted"), "{err}");
     assert!(err.contains("no worker left to run unit"), "{err}");
+    assert!(
+        !d.join("table2_smoke_s42.json").exists(),
+        "a merged table with lost units must not be cached: a rerun must recompute it"
+    );
 
     for name in ["serial", "kill-w1", "kill-w4", "hang", "absorbed", "exhausted"] {
         let _ = std::fs::remove_dir_all(std::env::temp_dir().join(format!("automc-orch-e2e-{name}")));

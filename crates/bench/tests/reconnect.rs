@@ -7,8 +7,11 @@
 //! re-enqueueing whatever a vanished worker held — is covered by the
 //! kill/hang/drop scenarios in `dist.rs`.)
 
+mod common;
+
 use automc_json::wire::{self, write_frame, Recv};
 use automc_json::{obj, ToJson, Value};
+use common::wait_deadline;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -45,26 +48,39 @@ fn text(bytes: &[u8]) -> String {
 
 /// Run to completion with a hard wall-clock deadline (kills on overrun).
 fn run_with_deadline(mut cmd: Command, deadline: Duration) -> Output {
-    let mut child = cmd
+    let child = cmd
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("worker binary must spawn");
-    let end = Instant::now() + deadline;
-    loop {
-        match child.try_wait().expect("try_wait") {
-            Some(_) => return child.wait_with_output().expect("collect output"),
-            None if Instant::now() >= end => {
-                let _ = child.kill();
-                let out = child.wait_with_output().expect("collect output");
-                panic!(
-                    "worker exceeded the {deadline:?} deadline; stderr:\n{}",
-                    text(&out.stderr)
-                );
-            }
-            None => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
+    wait_deadline(child, Instant::now() + deadline, "worker")
+}
+
+/// The deadline bounds the child, not whoever else holds its pipes: a
+/// child that leaves a background process on its stderr and exits is
+/// collected at once, and one that writes more than a pipe buffer
+/// before exiting never stalls.
+#[cfg(unix)]
+#[test]
+fn wait_deadline_returns_while_a_grandchild_holds_stderr() {
+    let spawn = |script: &str| {
+        Command::new("sh")
+            .args(["-c", script])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sh must spawn")
+    };
+    let started = Instant::now();
+    let child = spawn("echo out; echo err >&2; sleep 6 & exit 0");
+    let out = wait_deadline(child, started + Duration::from_secs(3), "sh");
+    assert!(started.elapsed() < Duration::from_secs(3), "took {:?}", started.elapsed());
+    assert!(out.status.success());
+    assert_eq!((text(&out.stdout), text(&out.stderr)), ("out\n".into(), "err\n".into()));
+
+    let child = spawn("head -c 1000000 /dev/zero >&2; echo done");
+    let out = wait_deadline(child, Instant::now() + Duration::from_secs(20), "big writer");
+    assert_eq!((out.stderr.len(), text(&out.stdout)), (1_000_000, "done\n".into()));
 }
 
 #[test]

@@ -26,7 +26,6 @@
 
 pub mod memo;
 mod methods;
-pub mod quant;
 mod scheme;
 mod space;
 pub mod store;

@@ -85,19 +85,8 @@ fn population_from_bytes(bytes: &[u8], space_len: usize, max_len: usize) -> Opti
     Some(population)
 }
 
-/// Run the EA until the budget is exhausted.
-///
-/// Thin wrapper over [`evolution_search_journaled`] with journaling
-/// disabled.
-pub fn evolution_search(
-    ctx: &SearchContext<'_>,
-    cfg: &EvolutionConfig,
-    rng: &mut Rng,
-) -> SearchHistory {
-    evolution_search_journaled(ctx, cfg, rng, &JournalOptions::default())
-}
-
-/// [`evolution_search`] with a crash-safe per-evaluation journal.
+/// Run the EA until the budget is exhausted, with a crash-safe
+/// per-evaluation journal (`JournalOptions::default()` journals nothing).
 ///
 /// With `opts.path` set, the complete resumable state — history, the
 /// current population, RNG state, budget spent, and fault-injection
@@ -105,7 +94,7 @@ pub fn evolution_search(
 /// seeding and in the main loop); with `opts.resume`, a valid journal is
 /// restored and the run continues *bitwise identically* to one that was
 /// never interrupted. The journal is deleted on normal completion.
-pub fn evolution_search_journaled(
+pub fn evolution_search(
     ctx: &SearchContext<'_>,
     cfg: &EvolutionConfig,
     rng: &mut Rng,
@@ -363,7 +352,8 @@ mod tests {
             gamma: 0.2,
             budget: SearchBudget::new(6_000),
         };
-        let history = evolution_search(&ctx, &EvolutionConfig::default(), &mut rng);
+        let (cfg, none) = (EvolutionConfig::default(), JournalOptions::default());
+        let history = evolution_search(&ctx, &cfg, &mut rng, &none);
         assert!(history.records.len() >= 4, "EA should evaluate several schemes");
         assert!(history.records.iter().all(|r| !r.scheme.is_empty()));
         assert!(history.records.iter().all(|r| r.scheme.len() <= 3));

@@ -37,11 +37,11 @@ mod statebytes;
 pub mod transfer;
 
 pub use context::{SearchBudget, SearchContext};
-pub use evolution::{evolution_search, evolution_search_journaled, EvolutionConfig};
+pub use evolution::{evolution_search, EvolutionConfig};
 pub use fmo::Fmo;
 pub use history::{EvalRecord, EvalStatus, SearchHistory};
 pub use journal::JournalOptions;
 pub use progress::{RoundControl, RoundEvent, RoundHook, RoundObserver};
-pub use progressive::{progressive_search, progressive_search_journaled, AutoMcConfig};
-pub use random::{random_search, random_search_journaled};
-pub use rl::{rl_search, rl_search_journaled, RlConfig};
+pub use progressive::{progressive_search, AutoMcConfig};
+pub use random::random_search;
+pub use rl::{rl_search, RlConfig};

@@ -149,26 +149,14 @@ fn snapshot_run(
     }
 }
 
-/// Run AutoMC's progressive search until the budget is exhausted.
+/// Run AutoMC's progressive search until the budget is exhausted, with
+/// supervised candidate evaluations and a crash-safe round journal
+/// (`JournalOptions::default()` journals nothing).
 ///
 /// `embeddings` are the Algorithm 1 strategy embeddings (ablations pass
 /// differently-learned ones). Returns the full evaluation history; the
 /// Pareto-optimal schemes with `PR ≥ γ` are the paper's final output
 /// (`SearchHistory::pareto_indices`).
-///
-/// Thin wrapper over [`progressive_search_journaled`] with journaling
-/// disabled.
-pub fn progressive_search(
-    ctx: &SearchContext<'_>,
-    embeddings: Vec<Vec<f32>>,
-    cfg: &AutoMcConfig,
-    rng: &mut Rng,
-) -> SearchHistory {
-    progressive_search_journaled(ctx, embeddings, cfg, rng, &JournalOptions::default())
-}
-
-/// [`progressive_search`] with supervised candidate evaluations and a
-/// crash-safe round journal.
 ///
 /// Every candidate evaluation goes through the supervised
 /// [`execute_scheme_checked`] executor: a panicking, diverging, or
@@ -183,7 +171,7 @@ pub fn progressive_search(
 /// never interrupted. Fresh runs (no journal on disk) are also bitwise
 /// identical to un-journaled runs. The journal is deleted on normal
 /// completion.
-pub fn progressive_search_journaled(
+pub fn progressive_search(
     ctx: &SearchContext<'_>,
     embeddings: Vec<Vec<f32>>,
     cfg: &AutoMcConfig,
@@ -465,7 +453,7 @@ mod tests {
             .map(|i| vec![(i % 97) as f32 / 97.0, (i % 13) as f32 / 13.0, 0.5, 0.1])
             .collect();
         let cfg = AutoMcConfig { candidate_sample: 64, ..Default::default() };
-        let history = progressive_search(&ctx, emb, &cfg, &mut rng);
+        let history = progressive_search(&ctx, emb, &cfg, &mut rng, &JournalOptions::default());
         assert!(!history.records.is_empty(), "search evaluated nothing");
         assert!(history.total_cost() >= ctx.budget.units.min(1));
         // At least one scheme should achieve meaningful reduction.

@@ -9,16 +9,11 @@ use automc_tensor::fault;
 use automc_tensor::Rng;
 use rand::Rng as _;
 
-/// Run random search until the budget is exhausted. Evaluations are
-/// supervised: a panicking or diverging scheme is logged as infeasible
-/// (charged at least one evaluation's budget) and the search continues.
-///
-/// Thin wrapper over [`random_search_journaled`] with journaling disabled.
-pub fn random_search(ctx: &SearchContext<'_>, rng: &mut Rng) -> SearchHistory {
-    random_search_journaled(ctx, rng, &JournalOptions::default())
-}
-
-/// [`random_search`] with a crash-safe per-evaluation journal.
+/// Run random search until the budget is exhausted, with a crash-safe
+/// per-evaluation journal (`JournalOptions::default()` journals nothing).
+/// Evaluations are supervised: a panicking or diverging scheme is logged
+/// as infeasible (charged at least one evaluation's budget) and the
+/// search continues.
 ///
 /// Random search has no learner, so the journal's `state` stays empty:
 /// the resumable state is just the history, the RNG stream, the budget
@@ -26,7 +21,7 @@ pub fn random_search(ctx: &SearchContext<'_>, rng: &mut Rng) -> SearchHistory {
 /// journal is restored and the run continues *bitwise identically* to one
 /// that was never interrupted. The journal is deleted on normal
 /// completion.
-pub fn random_search_journaled(
+pub fn random_search(
     ctx: &SearchContext<'_>,
     rng: &mut Rng,
     opts: &JournalOptions,
@@ -150,7 +145,7 @@ mod tests {
             gamma: 0.2,
             budget: SearchBudget::new(4_000),
         };
-        let history = random_search(&ctx, &mut rng);
+        let history = random_search(&ctx, &mut rng, &JournalOptions::default());
         assert!(!history.records.is_empty());
         assert!(history.records.iter().all(|r| (1..=2).contains(&r.scheme.len())));
         assert!(history.total_cost() >= ctx.budget.units);
@@ -184,7 +179,7 @@ mod tests {
         // Panic the very first evaluation and poison an early training run;
         // the search must absorb both and still exhaust its budget.
         fault::install(FaultPlan::parse("panic@eval:1,nan@train:2").unwrap());
-        let history = random_search(&ctx, &mut rng);
+        let history = random_search(&ctx, &mut rng, &JournalOptions::default());
         fault::clear();
         assert!(history.total_cost() >= ctx.budget.units, "search must finish");
         assert!(history.failed_count() >= 1, "injected faults must be recorded");

@@ -195,14 +195,8 @@ impl Controller {
     }
 }
 
-/// Run the RL controller until the budget is exhausted.
-///
-/// Thin wrapper over [`rl_search_journaled`] with journaling disabled.
-pub fn rl_search(ctx: &SearchContext<'_>, cfg: &RlConfig, rng: &mut Rng) -> SearchHistory {
-    rl_search_journaled(ctx, cfg, rng, &JournalOptions::default())
-}
-
-/// [`rl_search`] with a crash-safe per-episode journal.
+/// Run the RL controller until the budget is exhausted, with a crash-safe
+/// per-episode journal (`JournalOptions::default()` journals nothing).
 ///
 /// With `opts.path` set, the complete resumable state — history,
 /// controller weights, Adam moments, reward baseline, RNG state, budget
@@ -210,7 +204,7 @@ pub fn rl_search(ctx: &SearchContext<'_>, cfg: &RlConfig, rng: &mut Rng) -> Sear
 /// evaluated episode; with `opts.resume`, a valid journal is restored and
 /// the run continues *bitwise identically* to one that was never
 /// interrupted. The journal is deleted on normal completion.
-pub fn rl_search_journaled(
+pub fn rl_search(
     ctx: &SearchContext<'_>,
     cfg: &RlConfig,
     rng: &mut Rng,
@@ -455,7 +449,7 @@ mod tests {
             gamma: 0.2,
             budget: SearchBudget::new(5_000),
         };
-        let history = rl_search(&ctx, &RlConfig::default(), &mut rng);
+        let history = rl_search(&ctx, &RlConfig::default(), &mut rng, &JournalOptions::default());
         assert!(!history.records.is_empty());
         assert!(history
             .records

@@ -8,7 +8,7 @@
 
 use automc_compress::{ExecConfig, Metrics, StrategySpace};
 use automc_core::{
-    evolution_search_journaled, random_search_journaled, rl_search_journaled, EvolutionConfig,
+    evolution_search, random_search, rl_search, EvolutionConfig,
     JournalOptions, RlConfig, SearchBudget, SearchContext, SearchHistory,
 };
 use automc_data::{DatasetSpec, ImageSet, SyntheticKind};
@@ -75,12 +75,12 @@ fn run(
     // the stream position from the journal, not rely on the caller.
     let mut rng = rng_from_seed(SEED + 1);
     match algo {
-        Baseline::Rl => rl_search_journaled(&ctx, &RlConfig::default(), &mut rng, opts),
+        Baseline::Rl => rl_search(&ctx, &RlConfig::default(), &mut rng, opts),
         Baseline::Evolution => {
             let cfg = EvolutionConfig { population: 4, ..Default::default() };
-            evolution_search_journaled(&ctx, &cfg, &mut rng, opts)
+            evolution_search(&ctx, &cfg, &mut rng, opts)
         }
-        Baseline::Random => random_search_journaled(&ctx, &mut rng, opts),
+        Baseline::Random => random_search(&ctx, &mut rng, opts),
     }
 }
 

@@ -5,7 +5,7 @@
 
 use automc_compress::{ExecConfig, Metrics, StrategySpace};
 use automc_core::{
-    progressive_search_journaled, AutoMcConfig, JournalOptions, SearchBudget,
+    progressive_search, AutoMcConfig, JournalOptions, SearchBudget,
     SearchContext, SearchHistory,
 };
 use automc_data::{DatasetSpec, ImageSet, SyntheticKind};
@@ -56,7 +56,7 @@ fn run(
     // Every run restarts the RNG from the same seed: resuming must restore
     // the stream position from the journal, not rely on the caller.
     let mut rng = rng_from_seed(SEED + 1);
-    progressive_search_journaled(&ctx, emb, &cfg, &mut rng, opts)
+    progressive_search(&ctx, emb, &cfg, &mut rng, opts)
 }
 
 /// Canonical byte representation of a history, for bitwise comparison.

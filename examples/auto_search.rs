@@ -14,7 +14,9 @@ use automc::knowledge::{
 };
 use automc::models::train::{train, Auxiliary, TrainConfig};
 use automc::models::{resnet, ModelKind};
-use automc::search::{progressive_search, AutoMcConfig, SearchBudget, SearchContext};
+use automc::search::{
+    progressive_search, AutoMcConfig, JournalOptions, SearchBudget, SearchContext,
+};
 use automc::tensor::rng_from_seed;
 
 fn main() {
@@ -81,7 +83,13 @@ fn main() {
         budget: SearchBudget::new(15_000),
     };
     println!("running progressive search (budget {} units)…", ctx.budget.units);
-    let history = progressive_search(&ctx, embeddings, &AutoMcConfig::default(), &mut rng);
+    let history = progressive_search(
+        &ctx,
+        embeddings,
+        &AutoMcConfig::default(),
+        &mut rng,
+        &JournalOptions::default(),
+    );
     println!("evaluated {} schemes", history.records.len());
 
     // ---- Results -----------------------------------------------------------

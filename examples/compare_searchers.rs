@@ -10,7 +10,7 @@ use automc::models::resnet;
 use automc::models::train::{train, Auxiliary, TrainConfig};
 use automc::search::{
     evolution_search, progressive_search, random_search, rl_search, AutoMcConfig,
-    EvolutionConfig, RlConfig, SearchBudget, SearchContext, SearchHistory,
+    EvolutionConfig, JournalOptions, RlConfig, SearchBudget, SearchContext, SearchHistory,
 };
 use automc::tensor::rng_from_seed;
 
@@ -74,12 +74,19 @@ fn main() {
         .collect();
 
     println!("\nequal budget: {budget} cost units\n");
-    let h = progressive_search(&make_ctx(budget), embeddings, &AutoMcConfig::default(), &mut rng);
+    let h = progressive_search(
+        &make_ctx(budget),
+        embeddings,
+        &AutoMcConfig::default(),
+        &mut rng,
+        &JournalOptions::default(),
+    );
     report(&h);
-    let h = evolution_search(&make_ctx(budget), &EvolutionConfig::default(), &mut rng);
+    let none = JournalOptions::default();
+    let h = evolution_search(&make_ctx(budget), &EvolutionConfig::default(), &mut rng, &none);
     report(&h);
-    let h = rl_search(&make_ctx(budget), &RlConfig::default(), &mut rng);
+    let h = rl_search(&make_ctx(budget), &RlConfig::default(), &mut rng, &none);
     report(&h);
-    let h = random_search(&make_ctx(budget), &mut rng);
+    let h = random_search(&make_ctx(budget), &mut rng, &none);
     report(&h);
 }

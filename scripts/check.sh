@@ -314,7 +314,8 @@ for f in crates/tensor/src/fault.rs crates/core/src/journal.rs \
          crates/bench/src/transport.rs crates/json/src/wire.rs \
          crates/core/src/progress.rs crates/serve/src/protocol.rs \
          crates/serve/src/server.rs crates/serve/src/client.rs \
-         crates/serve/src/bin/automc-serve.rs crates/bench/src/harness.rs; do
+         crates/serve/src/bin/automc-serve.rs crates/bench/src/harness.rs \
+         crates/bench/src/runner.rs; do
     nontest=$(sed '/^\(#\[cfg(test)\]\|mod tests\)/,$d' "$f")
     if echo "$nontest" | grep -n 'unwrap()' >/dev/null; then
         echo "lint: unwrap() in recovery path $f:"

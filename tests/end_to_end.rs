@@ -9,7 +9,8 @@ use automc::knowledge::{generate_experience, learn_embeddings, EmbeddingConfig, 
 use automc::models::train::{train, Auxiliary, TrainConfig};
 use automc::models::{resnet, ConvNet, ModelKind};
 use automc::search::{
-    progressive_search, random_search, AutoMcConfig, SearchBudget, SearchContext,
+    progressive_search, random_search, AutoMcConfig, JournalOptions, SearchBudget,
+    SearchContext,
 };
 use automc::tensor::rng_from_seed;
 
@@ -101,7 +102,9 @@ fn knowledge_pipeline_feeds_progressive_search() {
         gamma: 0.2,
         budget: SearchBudget::new(8_000),
     };
-    let history = progressive_search(&ctx, embeddings, &AutoMcConfig::default(), &mut rng);
+    let none = JournalOptions::default();
+    let cfg = AutoMcConfig::default();
+    let history = progressive_search(&ctx, embeddings, &cfg, &mut rng, &none);
     assert!(!history.records.is_empty());
     let best = history.best(0.2);
     assert!(best.is_some(), "search should find a feasible scheme");
@@ -129,8 +132,10 @@ fn progressive_beats_or_matches_random_on_tiny_budget() {
     };
     let embeddings: Vec<Vec<f32>> =
         (0..space.len()).map(|i| vec![space.spec(i).ratio(), 0.3, 0.1]).collect();
-    let autos = progressive_search(&ctx, embeddings, &AutoMcConfig::default(), &mut rng);
-    let rand = random_search(&ctx, &mut rng);
+    let none = JournalOptions::default();
+    let cfg = AutoMcConfig::default();
+    let autos = progressive_search(&ctx, embeddings, &cfg, &mut rng, &none);
+    let rand = random_search(&ctx, &mut rng, &none);
     assert!(
         autos.records.len() >= rand.records.len(),
         "progressive search should afford at least as many evaluations: {} vs {}",
